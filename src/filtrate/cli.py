@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import __version__
 from .coeff import integer_rank, parse_ring
@@ -299,12 +300,21 @@ def _cmd_batch(args) -> tuple[int, dict]:
         code, report = _run_job(index, job)
         worst = max(worst, code)
         output = job.get("output") if isinstance(job, dict) else None
+        entry = {"job": index, "exit": code, "report": report}
         if output:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(report) + "\n")
-            reports.append({"job": index, "exit": code, "output": output})
-        else:
-            reports.append({"job": index, "exit": code, "report": report})
+            try:
+                # open() takes an integer or bool as a file descriptor
+                if not isinstance(output, str):
+                    raise TypeError("output must be a path string")
+                with open(output, "w", encoding="utf-8") as fh:
+                    fh.write(json.dumps(report) + "\n")
+                entry = {"job": index, "exit": code, "output": output}
+            except (OSError, TypeError) as exc:
+                error = _parse_error(f"job {index}: cannot write output {output!r}: {exc}",
+                                     output=output)
+                entry = {"job": index, "exit": 2, "report": _error_report(error)}
+                worst = max(worst, 2)
+        reports.append(entry)
     return worst, {
         "version": __version__,
         "seed": None,
@@ -321,7 +331,10 @@ def _run_job(index: int, job) -> tuple[int, dict]:
     if flags is None:
         return 2, _error_report(_parse_error(f"job {index}: unknown command {command!r}"))
     argv = [command]
-    parameters = dict(job.get("parameters") or {})
+    parameters = job.get("parameters") or {}
+    if not isinstance(parameters, dict):
+        return 2, _error_report(_parse_error(f"job {index}: parameters must be an object"))
+    parameters = dict(parameters)
     if "seed" in job and "seed" in flags:
         parameters.setdefault("seed", job["seed"])
     for key, value in parameters.items():
@@ -349,7 +362,9 @@ def _error_report(exc: _CliError) -> dict:
     return report
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="filtrate",
         description="Exponent-table filtrations of free groups.",
@@ -408,8 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(argv) -> tuple[int, dict]:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except _CliError as exc:

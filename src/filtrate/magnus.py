@@ -2,19 +2,25 @@
 
 A series lives in R<<x1..xk>> with all terms of degree > cap discarded.
 The expansion sends xi to 1 + xi and xi^-1 to the geometric series
-(1 + xi)^-1 = 1 - xi + xi^2 - ..., truncated at the cap.
+(1 + xi)^-1 = 1 - xi + xi^2 - ..., truncated at the cap; a run xi^k goes
+to (1 + xi)^k = sum_j binom(k, j) xi^j in one step.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .coeff import RingSpec, ZZ, is_unit, reduce as ring_reduce
+from .coeff import RingSpec, is_unit
 from .words import GroupWord, Monomial, format_monomial
 
 
 class CapExceededError(ValueError):
     """A coefficient beyond the degree cap was requested; it is unknown, not zero."""
+
+
+def _canonical(coeffs: dict, modulus: int) -> dict:
+    """Coefficients reduced into Z/modulus (Z when 0), zeros dropped."""
+    if modulus:
+        return {w: r for w, c in coeffs.items() if (r := c % modulus)}
+    return {w: c for w, c in coeffs.items() if c}
 
 
 class TruncSeries:
@@ -32,20 +38,29 @@ class TruncSeries:
             raise ValueError(f"alphabet size must be >= 1, got {alphabet_size}")
         if cap < 1:
             raise ValueError(f"degree cap must be >= 1, got {cap}")
-        clean: dict[Monomial, int] = {}
+        checked: dict[Monomial, int] = {}
         for w, c in (coeffs or {}).items():
             w = tuple(w)
             if len(w) > cap:
                 raise ValueError(f"monomial {w} exceeds degree cap {cap}")
             if any(not 1 <= i <= alphabet_size for i in w):
                 raise ValueError(f"monomial {w} outside alphabet of size {alphabet_size}")
-            c = ring_reduce(c, ring)
-            if c:
-                clean[w] = c
+            checked[w] = c
+        self._store(ring, alphabet_size, cap, checked)
+
+    @classmethod
+    def _trusted(cls, ring: RingSpec, alphabet_size: int, cap: int, coeffs) -> "TruncSeries":
+        """Wrap an internal result whose monomials are known to fit the cap and
+        alphabet; only the coefficients are reduced."""
+        series = object.__new__(cls)
+        series._store(ring, alphabet_size, cap, coeffs)
+        return series
+
+    def _store(self, ring: RingSpec, alphabet_size: int, cap: int, coeffs):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "alphabet_size", alphabet_size)
         object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", _canonical(coeffs, ring.modulus))
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
@@ -91,7 +106,7 @@ class TruncSeries:
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():
             out[w] = out.get(w, 0) + c
-        return TruncSeries(self.ring, self.alphabet_size, self.cap, out)
+        return TruncSeries._trusted(self.ring, self.alphabet_size, self.cap, out)
 
     def __neg__(self) -> "TruncSeries":
         return self.scale(-1)
@@ -100,7 +115,7 @@ class TruncSeries:
         return self + (-other)
 
     def scale(self, c: int) -> "TruncSeries":
-        return TruncSeries(
+        return TruncSeries._trusted(
             self.ring, self.alphabet_size, self.cap,
             {w: c * a for w, a in self.coeffs.items()},
         )
@@ -116,7 +131,7 @@ class TruncSeries:
                 if len(v) <= room:
                     w = u + v
                     out[w] = out.get(w, 0) + a * b
-        return TruncSeries(self.ring, self.alphabet_size, cap, out)
+        return TruncSeries._trusted(self.ring, self.alphabet_size, cap, out)
 
     def degree_slice(self, d: int) -> dict[Monomial, int]:
         """The coefficients in degree exactly d, as a fresh dict."""
@@ -169,22 +184,35 @@ def inverse(series: TruncSeries) -> "TruncSeries":
     return acc.scale(cinv)
 
 
-@lru_cache(maxsize=None)
-def _letter_series(modulus: int, alphabet_size: int, cap: int, signed: int) -> TruncSeries:
-    ring = RingSpec(modulus)
-    base = TruncSeries.one(ring, alphabet_size, cap) + TruncSeries.gen(ring, alphabet_size, cap, abs(signed))
-    return base if signed > 0 else inverse(base)
-
-
 def magnus(g: GroupWord, ring: RingSpec, cap: int) -> TruncSeries:
     """The truncated Magnus expansion of a group word.
 
-    Multiplies out 1 + xi or its cached inverse per letter, left to right.
+    A run xi^k expands to (1 + xi)^k = sum_{j <= cap} binom(k, j) xi^j, with
+    the generalised binomial k(k-1)...(k-j+1)/j! when k < 0, so the word
+    costs one series product per run, left to right, however long the runs.
     """
-    acc = TruncSeries.one(ring, g.alphabet_size, cap)
-    for s in g.letters:
-        acc = acc * _letter_series(ring.modulus, g.alphabet_size, cap, s)
-    return acc
+    if cap < 1:
+        raise ValueError(f"degree cap must be >= 1, got {cap}")
+    m = ring.modulus
+    acc: dict[Monomial, int] = {(): 1}
+    for i, k in g.runs:
+        # the run's terms of degree >= 1; its constant term 1 copies acc
+        terms = []
+        c = k
+        for j in range(1, cap + 1):
+            if c % m if m else c:
+                terms.append((j, (i,) * j, c))
+            c = c * (k - j) // (j + 1)
+        out = dict(acc)
+        for u, a in acc.items():
+            room = cap - len(u)
+            for j, tail, c in terms:
+                if j > room:
+                    break
+                w = u + tail
+                out[w] = out.get(w, 0) + a * c
+        acc = _canonical(out, m)
+    return TruncSeries._trusted(ring, g.alphabet_size, cap, acc)
 
 
 def series_json(series: TruncSeries) -> dict:

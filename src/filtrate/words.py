@@ -2,7 +2,8 @@
 
 Generators are written x1, x2, ... and indexed from 1.  A group word is a
 freely reduced sequence of signed indices (+i for xi, -i for its inverse).
-The commutator convention throughout is
+Group words are stored as (letter, exponent) runs, so x1^10000000 is one
+run.  The commutator convention throughout is
 
     [a, b] = a^-1 b^-1 a b.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product, repeat
 
 Monomial = tuple[int, ...]
 
@@ -25,50 +26,70 @@ class WordSyntaxError(ValueError):
 
 
 class GroupWord:
-    """A freely reduced word over x1..xk, stored as a flat signed-index tuple.
+    """A freely reduced word over x1..xk, stored as (letter, exponent) runs.
 
-    Construction reduces eagerly, so equal group elements compare equal as
+    The run (i, k) stands for xi^k with k != 0, and neighbouring runs have
+    different letters.  Construction from signed letters (+i for xi, -i for
+    its inverse) reduces eagerly, so equal group elements compare equal as
     objects.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("alphabet_size", "letters")
+    __slots__ = ("alphabet_size", "runs")
 
     def __init__(self, alphabet_size: int, letters=()):
         if alphabet_size < 1:
             raise ValueError(f"alphabet size must be >= 1, got {alphabet_size}")
-        reduced: list[int] = []
+        runs: list[tuple[int, int]] = []
         for s in letters:
             if s == 0 or abs(s) > alphabet_size:
                 raise ValueError(f"letter {s} outside alphabet of size {alphabet_size}")
-            if reduced and reduced[-1] == -s:
-                reduced.pop()
-            else:
-                reduced.append(s)
+            i, k = (s, 1) if s > 0 else (-s, -1)
+            if runs and runs[-1][0] == i:
+                k += runs.pop()[1]
+                if not k:
+                    continue
+            runs.append((i, k))
         object.__setattr__(self, "alphabet_size", alphabet_size)
-        object.__setattr__(self, "letters", tuple(reduced))
+        object.__setattr__(self, "runs", tuple(runs))
+
+    @classmethod
+    def _from_runs(cls, alphabet_size: int, runs: tuple) -> "GroupWord":
+        """Wrap runs that are already valid and freely reduced."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "alphabet_size", alphabet_size)
+        object.__setattr__(w, "runs", runs)
+        return w
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupWord is immutable")
 
     def __len__(self) -> int:
-        return len(self.letters)
+        """The number of letters, counted without flattening the runs."""
+        return sum(abs(k) for _, k in self.runs)
+
+    @property
+    def letters(self) -> tuple[int, ...]:
+        """The flat signed-index tuple: +i for xi, -i for its inverse."""
+        return tuple(chain.from_iterable(
+            repeat(i if k > 0 else -i, abs(k)) for i, k in self.runs
+        ))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GroupWord)
             and self.alphabet_size == other.alphabet_size
-            and self.letters == other.letters
+            and self.runs == other.runs
         )
 
     def __hash__(self) -> int:
-        return hash((self.alphabet_size, self.letters))
+        return hash((self.alphabet_size, self.runs))
 
     def __repr__(self) -> str:
         return f"<GroupWord {format_word(self)} over x1..x{self.alphabet_size}>"
 
     @property
     def is_identity(self) -> bool:
-        return not self.letters
+        return not self.runs
 
     def _require_same_alphabet(self, other: "GroupWord"):
         if self.alphabet_size != other.alphabet_size:
@@ -78,36 +99,53 @@ class GroupWord:
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         self._require_same_alphabet(other)
-        return GroupWord(self.alphabet_size, self.letters + other.letters)
+        return GroupWord._from_runs(self.alphabet_size, _join(self.runs, other.runs))
 
     def inverse(self) -> "GroupWord":
-        return GroupWord(self.alphabet_size, tuple(-s for s in reversed(self.letters)))
+        return GroupWord._from_runs(self.alphabet_size, _inverse(self.runs))
 
     def __pow__(self, k: int) -> "GroupWord":
-        if k == 0:
-            return GroupWord(self.alphabet_size)
-        base = self.letters if k > 0 else tuple(-s for s in reversed(self.letters))
-        return GroupWord(self.alphabet_size, base * abs(k))
+        runs = self.runs if k >= 0 else _inverse(self.runs)
+        return GroupWord._from_runs(self.alphabet_size, _power(runs, abs(k)))
 
 
-def multiply(a: GroupWord, b: GroupWord) -> GroupWord:
-    return a * b
+def _inverse(runs: tuple) -> tuple:
+    return tuple((i, -k) for i, k in reversed(runs))
 
 
-def invert(a: GroupWord) -> GroupWord:
-    return a.inverse()
+def _join(left: tuple, right: tuple) -> tuple:
+    """Free reduction of two reduced run tuples: only the junction can cancel."""
+    a, b = len(left), 0
+    while a and b < len(right) and left[a - 1][0] == right[b][0]:
+        i, k = right[b][0], left[a - 1][1] + right[b][1]
+        if k:
+            return left[:a - 1] + ((i, k),) + right[b + 1:]
+        a -= 1
+        b += 1
+    return left[:a] + right[b:]
 
 
-def power(a: GroupWord, k: int) -> GroupWord:
-    return a ** k
+def _power(runs: tuple, k: int) -> tuple:
+    """A reduced run tuple raised to k >= 0 by repeated squaring.
+
+    The tuples double in length, so the work is O(k * len(runs)) in all, and
+    a single run x^e only ever has its exponent doubled.
+    """
+    result = ()
+    while k:
+        if k & 1:
+            result = _join(result, runs)
+        k >>= 1
+        if k:
+            runs = _join(runs, runs)
+    return result
 
 
 def commutator(a: GroupWord, b: GroupWord) -> GroupWord:
     """[a, b] = a^-1 b^-1 a b."""
     a._require_same_alphabet(b)
-    inv_a = tuple(-s for s in reversed(a.letters))
-    inv_b = tuple(-s for s in reversed(b.letters))
-    return GroupWord(a.alphabet_size, inv_a + inv_b + a.letters + b.letters)
+    runs = _join(_join(_join(_inverse(a.runs), _inverse(b.runs)), a.runs), b.runs)
+    return GroupWord._from_runs(a.alphabet_size, runs)
 
 
 def generator(alphabet_size: int, index: int) -> GroupWord:
@@ -116,21 +154,9 @@ def generator(alphabet_size: int, index: int) -> GroupWord:
 
 def format_word(w: GroupWord) -> str:
     """Render a word in the expression grammar; inverse of parse_word."""
-    if not w.letters:
+    if not w.runs:
         return "e"
-    parts = []
-    i = 0
-    letters = w.letters
-    while i < len(letters):
-        j = i
-        while j < len(letters) and letters[j] == letters[i]:
-            j += 1
-        run = j - i
-        s = letters[i]
-        exp = run if s > 0 else -run
-        parts.append(f"x{abs(s)}" if exp == 1 else f"x{abs(s)}^{exp}")
-        i = j
-    return "*".join(parts)
+    return "*".join(f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in w.runs)
 
 
 class _WordParser:

@@ -82,6 +82,32 @@ def random_reduced_word(rng: random.Random, alphabet_size: int, max_length: int)
     return GroupWord(alphabet_size, letters)
 
 
+def magnus_by_letters(letters, modulus: int, cap: int) -> dict:
+    """Expansion of a signed-letter sequence, one letter at a time, as a dict.
+
+    xi -> 1 + xi and xi^-1 -> 1 - xi + xi^2 - ... to the cap, multiplied out
+    left to right; coefficients in Z/modulus (Z when 0), zeros dropped.  The
+    letters need not be reduced: 1 + xi times its truncated geometric series
+    is exactly 1 below the cap.
+    """
+    acc = {(): 1}
+    for s in letters:
+        i = abs(s)
+        if s > 0:
+            factor = {(): 1, (i,): 1}
+        else:
+            factor = {(i,) * j: (-1) ** j for j in range(cap + 1)}
+        out = {}
+        for u, a in acc.items():
+            for v, b in factor.items():
+                if len(u) + len(v) <= cap:
+                    out[u + v] = out.get(u + v, 0) + a * b
+        if modulus:
+            out = {w: c % modulus for w, c in out.items()}
+        acc = {w: c for w, c in out.items() if c}
+    return acc
+
+
 def random_series(rng: random.Random, ring, alphabet_size: int, cap: int,
                   terms: int = 8, bound: int = 30) -> TruncSeries:
     coeffs = {}

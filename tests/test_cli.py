@@ -241,6 +241,49 @@ def test_batch_mixed_jobs(tmp_path, capsys):
     assert report["jobs"][4]["report"]["error"]["kind"] == "parse"
 
 
+def test_batch_parameters_must_be_an_object(tmp_path, capsys):
+    jobs = [
+        {"command": "member", "parameters": [1, 2]},
+        {"command": "massey", "parameters": {"alphabet": 2, "level": 3}},
+    ]
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps(jobs))
+    code, report, _ = run(capsys, ["batch", "--jobs", str(path)])
+    assert code == 2
+    assert [j["exit"] for j in report["jobs"]] == [2, 0]
+    assert report["jobs"][0]["report"]["error"]["kind"] == "parse"
+    assert report["jobs"][1]["report"]["rank"] == 2
+
+
+def test_batch_unwritable_output_is_a_job_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "out.json")
+    jobs = [
+        {"command": "massey", "parameters": {"alphabet": 2, "level": 3}, "output": missing},
+        {"command": "massey", "parameters": {"alphabet": 2, "level": 3}, "output": True},
+        {"command": "massey", "parameters": {"alphabet": 2, "level": 2}},
+    ]
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps(jobs))
+    code, report, _ = run(capsys, ["batch", "--jobs", str(path)])
+    assert code == 2
+    assert [j["exit"] for j in report["jobs"]] == [2, 2, 0]
+    error = report["jobs"][0]["report"]["error"]
+    assert error["kind"] == "parse"
+    assert error["output"] == missing and missing in error["message"]
+    assert report["jobs"][1]["report"]["error"]["output"] is True
+    assert report["jobs"][2]["report"]["rank"] == 1
+
+
+def test_member_long_power(capsys):
+    code, report, _ = run(capsys, [
+        "member", "--word", "x1^10000000", "--level", "2", "--emap", "trivial",
+        "--alphabet", "1",
+    ])
+    assert code == 0
+    assert report["member"] is False
+    assert report["witness"] == {"degree": 1, "word": "x1", "coefficient": "10000000"}
+
+
 def test_batch_rejects_bad_jobs_files(tmp_path, capsys):
     code, report, _ = run(capsys, ["batch", "--jobs", str(tmp_path / "missing.json")])
     assert code == 2 and report["error"]["kind"] == "parse"

@@ -12,9 +12,9 @@ from filtrate.magnus import (
     magnus,
     series_json,
 )
-from filtrate.words import basic_commutator, lyndon_words, parse_word, realize
+from filtrate.words import GroupWord, basic_commutator, generator, lyndon_words, parse_word, realize
 
-from helpers import random_reduced_word, random_series
+from helpers import magnus_by_letters, random_reduced_word, random_series
 
 
 def s_one(cap=3, ring=ZZ, k=2):
@@ -86,6 +86,7 @@ def test_no_zero_coefficients_stored():
         for s in (a + b, a * b, a - b):
             assert all(c != 0 for c in s.coeffs.values())
             assert all(len(w) <= 3 for w in s.coeffs)
+            assert TruncSeries(s.ring, 2, 3, s.coeffs) == s
 
 
 def test_inverse_frozen_examples():
@@ -152,6 +153,37 @@ def test_magnus_frozen_examples():
     comm = magnus(parse_word("[x1,x2]", 2), ZZ, 2)
     assert comm.coeffs == {(): 1, (1, 2): 1, (2, 1): -1}
     assert magnus(parse_word("e", 2), ZZ, 4) == TruncSeries.one(ZZ, 2, 4)
+
+
+def test_magnus_matches_letter_by_letter_on_long_runs():
+    # runs longer than the cap, both signs, over Z and rings with zero divisors
+    rng = random.Random(39)
+    for _ in range(300):
+        ring = rng.choice((ZZ, RingSpec(4), RingSpec(6), RingSpec(9)))
+        cap = rng.randint(1, 4)
+        k = rng.randint(1, 3)
+        g = GroupWord(k)
+        letters = []
+        for _ in range(rng.randint(0, 5)):
+            i = rng.randint(1, k)
+            e = rng.choice((1, -1)) * rng.randint(1, 2 * cap + 3)
+            g = g * generator(k, i) ** e
+            letters += [i if e > 0 else -i] * abs(e)
+        s = magnus(g, ring, cap)
+        assert s.coeffs == magnus_by_letters(letters, ring.modulus, cap), (g, ring, cap)
+        # the unchecked internal constructor must yield what the public one does
+        assert TruncSeries(ring, k, cap, s.coeffs) == s
+
+
+def test_magnus_of_a_huge_run():
+    s = magnus(parse_word("x1^10000000", 1), ZZ, 3)
+    assert s.coeffs == {
+        (): 1, (1,): 10**7, (1, 1): 10**7 * (10**7 - 1) // 2,
+        (1, 1, 1): 10**7 * (10**7 - 1) * (10**7 - 2) // 6,
+    }
+    assert magnus(parse_word("x1^-10000000", 1), RingSpec(9), 2).coeffs == {
+        (): 1, (1,): -10**7 % 9, (1, 1): 10**7 * (10**7 + 1) // 2 % 9,
+    }
 
 
 def test_magnus_is_a_homomorphism():
@@ -226,7 +258,7 @@ def test_series_json_shape_and_order():
 
 
 def test_letter_cache_consistency():
-    # same word, two calls, equal results; mixed rings do not poison the cache
+    # same word, two calls, equal results; expansions over different rings stay apart
     g = parse_word("x1^-1*x2*x1", 2)
     a = magnus(g, ZZ, 3)
     b = magnus(g, RingSpec(5), 3)

@@ -13,13 +13,10 @@ from filtrate.words import (
     format_monomial,
     format_word,
     generator,
-    invert,
     is_lyndon,
     lyndon_words,
-    multiply,
     parse_monomial,
     parse_word,
-    power,
     realize,
 )
 
@@ -56,10 +53,10 @@ def test_letters_validated():
 
 def test_group_operations():
     x1, x2 = generator(2, 1), generator(2, 2)
-    assert multiply(x1, invert(x1)).is_identity
-    assert power(x1 * x2, -1).letters == (-2, -1)
-    assert power(x1, 3).letters == (1, 1, 1)
-    assert power(x1, 0).is_identity
+    assert (x1 * x1.inverse()).is_identity
+    assert ((x1 * x2) ** -1).letters == (-2, -1)
+    assert (x1 ** 3).letters == (1, 1, 1)
+    assert (x1 ** 0).is_identity
     assert commutator(x1, x1).is_identity
     assert commutator(x1, x2).letters == (-1, -2, 1, 2)
     e = GroupWord(2)
@@ -67,9 +64,29 @@ def test_group_operations():
     assert commutator(e, x1).is_identity
 
 
+def test_runs_merge_and_collapse():
+    x1, x2 = generator(2, 1), generator(2, 2)
+    assert parse_word("[x1^5,x1^-5]", 2) == GroupWord(2)
+    assert commutator(x1 ** 5, x1 ** -5).is_identity
+    assert parse_word("(x1*x2)^-3", 2).runs == ((2, -1), (1, -1)) * 3
+    assert (x1 ** 3 * x1 ** -1).runs == ((1, 2),)
+    assert (x1 ** 3 * x1 ** -3).is_identity
+    # a core that starts and ends with the same letter merges at every seam
+    assert (x1 ** 2 * x2 * x1 ** 3) ** 3 == parse_word("x1^2*x2*x1^5*x2*x1^5*x2*x1^3", 2)
+    # a conjugate's power keeps the conjugator once
+    assert (x2 * x1 * x2 ** -1) ** 4 == parse_word("x2*x1^4*x2^-1", 2)
+
+
+def test_long_power_is_one_run():
+    w = parse_word("x1^10000000", 1)
+    assert len(w) == 10_000_000
+    assert w.runs == ((1, 10_000_000),)
+    assert format_word(w) == "x1^10000000"
+
+
 def test_alphabet_mismatch_is_an_error():
     with pytest.raises(ValueError):
-        multiply(generator(2, 1), generator(3, 1))
+        generator(2, 1) * generator(3, 1)
 
 
 def test_parse_examples():
@@ -140,6 +157,24 @@ def test_power_matches_repeated_product(w, k):
     for _ in range(abs(k)):
         expected = expected * step
     assert w ** k == expected
+
+
+@given(words(), words(), st.integers(min_value=-4, max_value=4))
+def test_runs_agree_with_letter_reduction(a, b, k):
+    def flat_inverse(letters):
+        return tuple(-s for s in reversed(letters))
+
+    base = a.letters if k >= 0 else flat_inverse(a.letters)
+    flat = {
+        a * b: a.letters + b.letters,
+        a ** k: base * abs(k),
+        commutator(a, b): flat_inverse(a.letters) + flat_inverse(b.letters) + a.letters + b.letters,
+    }
+    for w, letters in flat.items():
+        assert w == GroupWord(3, letters)
+        assert len(w) == len(w.letters)
+        assert all(e != 0 for _, e in w.runs)
+        assert all(x[0] != y[0] for x, y in zip(w.runs, w.runs[1:]))
 
 
 def test_reduction_leaves_no_adjacent_cancellation():
