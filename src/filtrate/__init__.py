@@ -24,7 +24,6 @@ from .filt import (
     AFiltration,
     FiltrationSpec,
     QZassenhaus,
-    Route,
     SampleBudget,
     UniMatrix,
     member_kernels,

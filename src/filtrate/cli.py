@@ -1,10 +1,12 @@
 """filtrate: membership, expansions, representations, samplers, audits, ranks.
 
-Every subcommand prints a single JSON object to stdout carrying the tool
-version and the seed (null when no randomness is involved); all potentially
-large numbers are decimal strings.  Exit codes: 0 success, 2 parse or
-validation failure, 3 module precondition violation, 4 internal invariant
-breach (the two membership routes disagreed, which is always a bug).
+Every invocation prints a single JSON object to stdout; only --help and
+--version print text.  Reports carry the tool version and the seed (null
+when no randomness is involved); all potentially large numbers are decimal
+strings.  Exit codes: 0 success, 2 parse or validation failure (a bad word
+or spec, a missing or ill-typed flag, an unknown subcommand), 3 module
+precondition violation, 4 internal invariant breach (the two membership
+routes disagreed, which is always a bug).
 
     filtrate member --word "[x1,x2]" --emap trivial --level 2 --alphabet 2
     filtrate magnus --word "x1*x2^-1" --ring Z --cap 3 --alphabet 2
@@ -13,6 +15,9 @@ breach (the two membership routes disagreed, which is always a bug).
     filtrate emap-check --emap gcdseq:2,3,4 --nmax 8
     filtrate massey --alphabet 2 --level 4 [--emit-matrix]
     filtrate batch --jobs jobs.json
+
+The flags of every subcommand are declared once, in COMMANDS; the argparse
+parser and the parameters of a batch job are both read from it.
 """
 
 from __future__ import annotations
@@ -24,12 +29,11 @@ from functools import cache
 
 from . import __version__
 from .coeff import integer_rank, parse_ring
-from .emap import check_binomial, check_condition_iii, check_descending, parse_emap
+from .emap import check_binomial, check_condition_iii, check_descending, parse_emap, spec_ints
 from .filt import (
     AFiltration,
     FiltrationSpec,
     QZassenhaus,
-    Route,
     SampleBudget,
     kernel_witness,
     phi,
@@ -73,14 +77,32 @@ def _parse_error(message: str, **extra) -> _CliError:
     return _CliError(2, "parse", message, **extra)
 
 
-def _as_parse_error(exc: ValueError) -> _CliError:
-    extra = {"position": exc.position} if isinstance(exc, WordSyntaxError) else {}
-    return _parse_error(str(exc), **extra)
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors become JSON parse reports, not usage text."""
+
+    def error(self, message):
+        raise _parse_error(f"{self.prog}: {message}")
 
 
-def _require(condition: bool, message: str):
-    if not condition:
-        raise _parse_error(message)
+def _at_least(low: int):
+    """A type= converter for an integer flag that must be >= low."""
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    convert.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return convert
+
+
+def _flag_type(parse):
+    """A type= converter reporting parse's ValueError under its own message."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return convert
 
 
 def _witness_json(witness) -> dict | None:
@@ -91,46 +113,33 @@ def _witness_json(witness) -> dict | None:
 
 
 def _parse_scheme(text: str):
+    text = text.strip()
     kind, sep, body = text.partition(":")
-    if not sep:
-        raise ValueError(f"bad scheme spec {text!r}")
-    if kind == "afilt":
-        return AFiltration(int(a) for a in body.split(","))
-    if kind == "zass":
-        p, t = (int(a) for a in body.split(","))
-        return QZassenhaus(p, t)
-    if kind == "product":
-        return parse_emap(body)
-    raise ValueError(f"bad scheme spec {text!r}: unknown kind {kind!r}")
+    try:
+        if sep and kind == "afilt":
+            return AFiltration(spec_ints(body))
+        if sep and kind == "zass":
+            return QZassenhaus(*spec_ints(body, 2))
+        if sep and kind == "product":
+            return parse_emap(body)
+    except ValueError as exc:
+        raise _parse_error(f"bad scheme spec {text!r}: {exc}") from exc
+    raise _parse_error(f"bad scheme spec {text!r}: unknown kind {kind!r}" if sep
+                       else f"bad scheme spec {text!r}")
 
 
 def _cmd_member(args) -> tuple[int, dict]:
-    try:
-        _require(args.level >= 1, f"--level must be >= 1, got {args.level}")
-        _require(args.alphabet >= 1, f"--alphabet must be >= 1, got {args.alphabet}")
-        word = parse_word(args.word, args.alphabet)
-        emap = parse_emap(args.emap)
-        route = Route(args.route)
-    except ValueError as exc:
-        raise _as_parse_error(exc) from exc
-    spec = FiltrationSpec(emap, args.level, route)
+    word = parse_word(args.word, args.alphabet)
+    spec = FiltrationSpec(args.emap, args.level)
     report = {
-        "version": __version__,
-        "seed": None,
-        "command": "member",
         "word": args.word,
         "alphabet": args.alphabet,
-        "emap": emap.describe(),
+        "emap": args.emap.describe(),
         "level": args.level,
-        "route": route.value,
+        "route": args.route,
     }
-    if route is Route.SERIES:
-        witness = series_witness(word, spec)
-        report.update(member=witness is None, route_agreement=None,
-                      witness=_witness_json(witness))
-        return 0, report
-    if route is Route.KERNELS:
-        witness = kernel_witness(word, spec)
+    if args.route != "both":
+        witness = (series_witness if args.route == "series" else kernel_witness)(word, spec)
         report.update(member=witness is None, route_agreement=None,
                       witness=_witness_json(witness))
         return 0, report
@@ -140,7 +149,7 @@ def _cmd_member(args) -> tuple[int, dict]:
         raise _CliError(
             4, "integrity",
             "membership routes disagree; this is a bug or a counterexample",
-            word=args.word, emap=emap.describe(), level=args.level,
+            word=args.word, emap=args.emap.describe(), level=args.level,
             series_member=s_witness is None,
             kernels_member=k_witness is None,
             series_witness=_witness_json(s_witness),
@@ -152,63 +161,32 @@ def _cmd_member(args) -> tuple[int, dict]:
 
 
 def _cmd_magnus(args) -> tuple[int, dict]:
-    try:
-        _require(args.cap >= 1, f"--cap must be >= 1, got {args.cap}")
-        _require(args.alphabet >= 1, f"--alphabet must be >= 1, got {args.alphabet}")
-        word = parse_word(args.word, args.alphabet)
-        ring = parse_ring(args.ring)
-    except ValueError as exc:
-        raise _as_parse_error(exc) from exc
-    series = magnus(word, ring, args.cap)
-    return 0, {
-        "version": __version__,
-        "seed": None,
-        "command": "magnus",
-        "word": args.word,
-        "alphabet": args.alphabet,
-        "series": series_json(series),
-    }
+    series = magnus(parse_word(args.word, args.alphabet), args.ring, args.cap)
+    return 0, {"word": args.word, "alphabet": args.alphabet, "series": series_json(series)}
 
 
 def _cmd_rep(args) -> tuple[int, dict]:
-    try:
-        _require(args.alphabet >= 1, f"--alphabet must be >= 1, got {args.alphabet}")
-        word = parse_word(args.word, args.alphabet)
-        monomial = parse_monomial(args.monomial, args.alphabet)
-        ring = parse_ring(args.ring)
-    except ValueError as exc:
-        raise _as_parse_error(exc) from exc
-    image = phi(monomial, word, ring)
+    word = parse_word(args.word, args.alphabet)
+    monomial = parse_monomial(args.monomial, args.alphabet)
+    image = phi(monomial, word, args.ring)
     return 0, {
-        "version": __version__,
-        "seed": None,
-        "command": "rep",
         "word": args.word,
         "alphabet": args.alphabet,
         "monomial": format_monomial(monomial),
-        "ring": str(ring),
+        "ring": str(args.ring),
         "size": image.size,
         "matrix": [[str(v) for v in row] for row in image.rows()],
     }
 
 
 def _cmd_sample(args) -> tuple[int, dict]:
-    try:
-        _require(args.level >= 1, f"--level must be >= 1, got {args.level}")
-        _require(args.alphabet >= 1, f"--alphabet must be >= 1, got {args.alphabet}")
-        _require(args.count >= 0, f"--count must be >= 0, got {args.count}")
-        scheme = _parse_scheme(args.scheme)
-    except ValueError as exc:
-        raise _as_parse_error(exc) from exc
+    scheme = _parse_scheme(args.scheme)
     budget = SampleBudget(count=args.count)
     if isinstance(scheme, (AFiltration, QZassenhaus)):
         words = sample_recursive(scheme, args.level, args.alphabet, budget, args.seed)
     else:
         words = product_sampler(scheme, args.level, args.alphabet, budget, args.seed)
     return 0, {
-        "version": __version__,
-        "seed": args.seed,
-        "command": "sample",
         "scheme": args.scheme,
         "level": args.level,
         "alphabet": args.alphabet,
@@ -218,24 +196,13 @@ def _cmd_sample(args) -> tuple[int, dict]:
 
 
 def _cmd_emap_check(args) -> tuple[int, dict]:
-    try:
-        _require(args.nmax >= 1, f"--nmax must be >= 1, got {args.nmax}")
-        emap = parse_emap(args.emap)
-    except ValueError as exc:
-        raise _as_parse_error(exc) from exc
+    emap = args.emap
 
     def as_json(result):
         return {"ok": result.ok, "violation": list(result.violation) if result.violation else None}
 
     descending = check_descending(emap, args.nmax)
-    report = {
-        "version": __version__,
-        "seed": None,
-        "command": "emap-check",
-        "emap": emap.describe(),
-        "nmax": args.nmax,
-        "descending": as_json(descending),
-    }
+    report = {"emap": emap.describe(), "nmax": args.nmax, "descending": as_json(descending)}
     # the binomial and valuation audits presuppose a descending table
     if descending.ok:
         report["binomial"] = as_json(check_binomial(emap, args.nmax))
@@ -247,18 +214,10 @@ def _cmd_emap_check(args) -> tuple[int, dict]:
 
 
 def _cmd_massey(args) -> tuple[int, dict]:
-    try:
-        _require(args.alphabet >= 1, f"--alphabet must be >= 1, got {args.alphabet}")
-        _require(args.level >= 1, f"--level must be >= 1, got {args.level}")
-    except ValueError as exc:
-        raise _as_parse_error(exc) from exc
     matrix = pairing_matrix(args.alphabet, args.level)
     rank = integer_rank(matrix.entries)
     target = necklace(args.alphabet, args.level)
     report = {
-        "version": __version__,
-        "seed": None,
-        "command": "massey",
         "alphabet": args.alphabet,
         "level": args.level,
         "rank": rank,
@@ -274,16 +233,6 @@ def _cmd_massey(args) -> tuple[int, dict]:
             "entries": [[str(v) for v in row] for row in matrix.entries],
         }
     return 0, report
-
-
-_JOB_FLAGS = {
-    "member": ("word", "emap", "level", "alphabet", "route"),
-    "magnus": ("word", "ring", "cap", "alphabet"),
-    "rep": ("word", "monomial", "ring", "alphabet"),
-    "sample": ("scheme", "level", "alphabet", "seed", "count"),
-    "emap-check": ("emap", "nmax"),
-    "massey": ("alphabet", "level", "emit-matrix"),
-}
 
 
 def _cmd_batch(args) -> tuple[int, dict]:
@@ -315,41 +264,81 @@ def _cmd_batch(args) -> tuple[int, dict]:
                 entry = {"job": index, "exit": 2, "report": _error_report(error)}
                 worst = max(worst, 2)
         reports.append(entry)
-    return worst, {
-        "version": __version__,
-        "seed": None,
-        "command": "batch",
-        "jobs": reports,
-    }
+    return worst, {"jobs": reports}
+
+
+_POSITIVE_INT = {"type": _at_least(1), "required": True}
+_RING = {"type": _flag_type(parse_ring), "default": "Z"}
+_EMAP = {"type": _flag_type(parse_emap), "required": True}
+
+# name -> (help, handler, {flag: add_argument keywords}); the only place a
+# subcommand's flags are declared
+COMMANDS = {
+    "member": ("membership of a word at a filtration level", _cmd_member, {
+        "word": {"required": True},
+        "emap": _EMAP,
+        "level": _POSITIVE_INT,
+        "alphabet": _POSITIVE_INT,
+        "route": {"choices": ("series", "kernels", "both"), "default": "both"},
+    }),
+    "magnus": ("truncated expansion of a word", _cmd_magnus, {
+        "word": {"required": True},
+        "ring": _RING,
+        "cap": _POSITIVE_INT,
+        "alphabet": _POSITIVE_INT,
+    }),
+    "rep": ("unipotent matrix image attached to a monomial", _cmd_rep, {
+        "word": {"required": True},
+        "monomial": {"required": True},
+        "ring": _RING,
+        "alphabet": _POSITIVE_INT,
+    }),
+    "sample": ("draw words from a filtration level", _cmd_sample, {
+        "scheme": {"required": True},
+        "level": _POSITIVE_INT,
+        "alphabet": _POSITIVE_INT,
+        "seed": {"type": int, "default": 0},
+        "count": {"type": _at_least(0), "default": 30},
+    }),
+    "emap-check": ("audit an exponent table", _cmd_emap_check, {
+        "emap": _EMAP,
+        "nmax": _POSITIVE_INT,
+    }),
+    "massey": ("pairing-matrix rank against the necklace count", _cmd_massey, {
+        "alphabet": _POSITIVE_INT,
+        "level": _POSITIVE_INT,
+        "emit-matrix": {"action": "store_true"},
+    }),
+    "batch": ("run a JSON array of jobs", _cmd_batch, {
+        "jobs": {"required": True},
+    }),
+}
 
 
 def _run_job(index: int, job) -> tuple[int, dict]:
-    if not isinstance(job, dict) or "command" not in job:
+    """One batch job: its parameters are the flags of its COMMANDS entry."""
+    if not isinstance(job, dict) or not isinstance(job.get("command"), str):
         return 2, _error_report(_parse_error(f"job {index} must be an object with a command"))
     command = job["command"]
-    flags = _JOB_FLAGS.get(command)
-    if flags is None:
+    if command == "batch" or command not in COMMANDS:
         return 2, _error_report(_parse_error(f"job {index}: unknown command {command!r}"))
-    argv = [command]
+    flags = COMMANDS[command][2]
     parameters = job.get("parameters") or {}
     if not isinstance(parameters, dict):
         return 2, _error_report(_parse_error(f"job {index}: parameters must be an object"))
     parameters = dict(parameters)
     if "seed" in job and "seed" in flags:
         parameters.setdefault("seed", job["seed"])
+    argv = [command]
     for key, value in parameters.items():
         if key not in flags:
             return 2, _error_report(_parse_error(f"job {index}: unknown parameter {key!r}"))
-        if key == "emit-matrix":
+        if flags[key].get("action") == "store_true":
             if value:
-                argv.append("--emit-matrix")
+                argv.append(f"--{key}")
         else:
-            argv.extend([f"--{key}", str(value)])
-    try:
-        return _dispatch(argv)
-    except SystemExit:
-        # argparse rejected a flag value; keep the batch going
-        return 2, _error_report(_parse_error(f"job {index}: malformed arguments"))
+            argv.append(f"--{key}={value}")
+    return _dispatch(argv)
 
 
 def _error_report(exc: _CliError) -> dict:
@@ -364,8 +353,8 @@ def _error_report(exc: _CliError) -> dict:
 
 @cache
 def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by every call."""
-    parser = argparse.ArgumentParser(
+    """The command-line parser, built from COMMANDS on first use and shared."""
+    parser = _Parser(
         prog="filtrate",
         description="Exponent-table filtrations of free groups.",
         epilog=GRAMMAR,
@@ -373,64 +362,26 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"filtrate {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    member = sub.add_parser("member", help="membership of a word at a filtration level")
-    member.add_argument("--word", required=True)
-    member.add_argument("--emap", required=True)
-    member.add_argument("--level", type=int, required=True)
-    member.add_argument("--alphabet", type=int, required=True)
-    member.add_argument("--route", choices=("series", "kernels", "both"), default="both")
-    member.set_defaults(handler=_cmd_member)
-
-    magnus_p = sub.add_parser("magnus", help="truncated expansion of a word")
-    magnus_p.add_argument("--word", required=True)
-    magnus_p.add_argument("--ring", default="Z")
-    magnus_p.add_argument("--cap", type=int, required=True)
-    magnus_p.add_argument("--alphabet", type=int, required=True)
-    magnus_p.set_defaults(handler=_cmd_magnus)
-
-    rep = sub.add_parser("rep", help="unipotent matrix image attached to a monomial")
-    rep.add_argument("--word", required=True)
-    rep.add_argument("--monomial", required=True)
-    rep.add_argument("--ring", default="Z")
-    rep.add_argument("--alphabet", type=int, required=True)
-    rep.set_defaults(handler=_cmd_rep)
-
-    sample = sub.add_parser("sample", help="draw words from a filtration level")
-    sample.add_argument("--scheme", required=True)
-    sample.add_argument("--level", type=int, required=True)
-    sample.add_argument("--alphabet", type=int, required=True)
-    sample.add_argument("--seed", type=int, default=0)
-    sample.add_argument("--count", type=int, default=30)
-    sample.set_defaults(handler=_cmd_sample)
-
-    emap_check = sub.add_parser("emap-check", help="audit an exponent table")
-    emap_check.add_argument("--emap", required=True)
-    emap_check.add_argument("--nmax", type=int, required=True)
-    emap_check.set_defaults(handler=_cmd_emap_check)
-
-    massey_p = sub.add_parser("massey", help="pairing-matrix rank against the necklace count")
-    massey_p.add_argument("--alphabet", type=int, required=True)
-    massey_p.add_argument("--level", type=int, required=True)
-    massey_p.add_argument("--emit-matrix", action="store_true")
-    massey_p.set_defaults(handler=_cmd_massey)
-
-    batch = sub.add_parser("batch", help="run a JSON array of jobs")
-    batch.add_argument("--jobs", required=True)
-    batch.set_defaults(handler=_cmd_batch)
-
+    for name, (help_text, _, flags) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, keywords in flags.items():
+            command.add_argument(f"--{flag}", **keywords)
     return parser
 
 
 def _dispatch(argv) -> tuple[int, dict]:
-    args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        args = _parser().parse_args(argv)
+        code, body = COMMANDS[args.command][1](args)
     except _CliError as exc:
         return exc.code, _error_report(exc)
+    except WordSyntaxError as exc:
+        return 2, _error_report(_parse_error(str(exc), position=exc.position))
     except ValueError as exc:
         # preconditions of the library modules, surfaced after parsing
         return 3, _error_report(_CliError(3, "precondition", str(exc)))
+    header = {"version": __version__, "seed": getattr(args, "seed", None), "command": args.command}
+    return code, header | body
 
 
 def main(argv=None) -> int:

@@ -312,6 +312,14 @@ def ideal_member(s: TruncSeries, e: EMap, n: int) -> bool:
     return ideal_member_witness(s, e, n) is None
 
 
+def spec_ints(body: str, count: int | None = None) -> list[int]:
+    """The comma-separated integers of a spec body, exactly `count` if given."""
+    values = [int(a) for a in body.split(",")]
+    if count is not None and len(values) != count:
+        raise ValueError(f"expected {count} integers, got {len(values)}")
+    return values
+
+
 def parse_emap(text: str) -> EMap:
     """Parse an e-map spec string.
 
@@ -329,10 +337,9 @@ def parse_emap(text: str) -> EMap:
         if kind == "const":
             return ConstantEMap(int(body))
         if kind == "gcdseq":
-            return SequenceGcdEMap(int(a) for a in body.split(","))
+            return SequenceGcdEMap(spec_ints(body))
         if kind == "zass":
-            p, t = (int(a) for a in body.split(","))
-            return ZassenhausEMap(p, t)
+            return ZassenhausEMap(*spec_ints(body, 2))
     except ValueError as exc:
         raise ValueError(f"bad e-map spec {text!r}: {exc}") from exc
     if kind == "file":

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from enum import Enum
 from itertools import product
 
 from .coeff import RingSpec, ZZ, reduce as ring_reduce
@@ -146,19 +145,12 @@ def phi(w: Monomial, g: GroupWord, ring: RingSpec) -> UniMatrix:
     return _phi_from_series(w, magnus(g, ring, len(w)))
 
 
-class Route(Enum):
-    SERIES = "series"
-    KERNELS = "kernels"
-    BOTH = "both"
-
-
 @dataclass(frozen=True)
 class FiltrationSpec:
-    """An exponent table, a level, and which membership route(s) to run."""
+    """An exponent table and a level: one term of a filtration."""
 
     emap: EMap
     level: int
-    route: Route = Route.BOTH
 
     def __post_init__(self):
         if self.level < 1:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .coeff import ZZ, integer_rank
 from .emap import TrivialEMap, _prime_factors
-from .filt import FiltrationSpec, Route, member_series
+from .filt import FiltrationSpec, member_series
 from .magnus import coefficient, magnus
 from .words import (
     GroupWord,
@@ -71,7 +71,7 @@ def pairing_value(g: GroupWord, weights: dict[Monomial, int], n: int) -> int:
                 raise ValueError(
                     f"weight key {w} uses letter {c} outside x1..x{g.alphabet_size}"
                 )
-    spec = FiltrationSpec(TrivialEMap(), n, Route.SERIES)
+    spec = FiltrationSpec(TrivialEMap(), n)
     if not member_series(g, spec):
         raise ValueError(f"{g!r} is not {n} deep in the lower central series")
     s = magnus(g, ZZ, n)

@@ -260,11 +260,15 @@ def parse_word(text: str, alphabet_size: int) -> GroupWord:
 
     Whitespace is insignificant.  "e" is the empty word and "[a,b]" is the
     commutator a^-1 b^-1 a b.  Raises WordSyntaxError with the offending
-    position on malformed input or out-of-range generator indices.
+    position on malformed input, out-of-range generator indices, or brackets
+    nested deeper than the interpreter's recursion limit allows.
     """
     parser = _WordParser(text, alphabet_size)
     parser.skip_ws()
-    w = parser.parse_word()
+    try:
+        w = parser.parse_word()
+    except RecursionError:
+        raise WordSyntaxError("brackets nested too deeply", parser.pos) from None
     parser.skip_ws()
     if parser.pos != len(text):
         parser.error("unexpected character")

@@ -92,23 +92,61 @@ def test_rep_report(capsys):
     assert report["matrix"] == [["1", "0", "1"], ["0", "1", "0"], ["0", "0", "1"]]
 
 
-def test_sample_frozen_and_byte_deterministic(capsys):
-    argv = [
-        "sample", "--scheme", "zass:2,1", "--level", "2", "--alphabet", "2",
-        "--seed", "7", "--count", "5",
-    ]
-    code, report, raw1 = run(capsys, argv)
-    assert code == 0
-    assert report["seed"] == 7
-    assert report["words"] == [
+@pytest.mark.parametrize("scheme, level, words", [
+    ("zass:2,1", 2, [
         "x2^-1*x1*x2*x1^-3*x2*x1^-1*x2*x1",
         "x1^-2",
         "x1*x2^-1*x1*x2^-1",
         "x1*x2^-1*x1*x2*x1^-2*x2^-3*x1^-1*x2^-1*x1*x2^-1*x1*x2*x1*x2^3*x1^-1*x2*x1^-1",
         "e",
+    ]),
+    ("afilt:2,3,4", 3, [
+        "x2^-1*x1^-1*x2^-1*x1*x2*x1*x2*x1^-2*x2^-1*x1^-1*x2^2*x1*x2^-2*x1^-1*x2^2*x1"
+        "*x2^-2*x1^-1*x2^2*x1*x2^-1*x1",
+        "x2^2*x1^-1*x2^3*x1^-1*x2^3*x1^-1*x2^3*x1^-1*x2^3*x1^-1*x2^3*x1^-1*x2",
+        "x2^-3*x1*x2^2*x1^-1*x2",
+        "x1^-1*x2^-1*x1^-1*x2^-1*x1^-1*x2^-1*x1^-1*x2^-1*x1^-1*x2^-1*x1^-1*x2^-1",
+        "x2^-3*x1*x2^3*x1^-2*x2^-1*x1^-1*x2*x1^-1*x2^-1*x1^-1*x2^-2*x1*x2^3*x1^-2*x2^-1"
+        "*x1^-1*x2*x1^-1*x2^-1*x1^-1*x2^-2*x1*x2^3*x1^-2*x2^-1*x1^-1*x2*x1^-1*x2^-1*x1^-1*x2",
+    ]),
+    ("product:zass:2,1", 3, [
+        "x2^4*x1^-1*x2^-1*x1^-1*x2*x1*x2^-1*x1*x2",
+        "x1^-1*x2^-1*x1^-1*x2*x1*x2^-1*x1*x2",
+        "x1^-1*x2^-1*x1^-1*x2*x1*x2^-1*x1*x2*x1^-1*x2^-1*x1^-1*x2*x1*x2^-1*x1*x2",
+        "x2^4",
+        "x1^4*x2^4",
+    ]),
+], ids=["zass", "afilt", "product"])
+def test_sample_frozen_and_byte_deterministic(capsys, scheme, level, words):
+    argv = [
+        "sample", "--scheme", scheme, "--level", str(level), "--alphabet", "2",
+        "--seed", "7", "--count", "5",
     ]
+    code, report, raw1 = run(capsys, argv)
+    assert code == 0
+    assert report["seed"] == 7
+    assert report["words"] == words
     _, _, raw2 = run(capsys, argv)
     assert raw1 == raw2
+
+
+@pytest.mark.parametrize("scheme", ["zass:2", "afilt:", "afilt:2,x", "zass:4,1", "bogus:1", "zass"])
+def test_bad_scheme_specs_are_parse_errors(capsys, scheme):
+    code, report, _ = run(capsys, [
+        "sample", "--scheme", scheme, "--level", "2", "--alphabet", "2",
+    ])
+    assert code == 2
+    assert report["error"]["kind"] == "parse"
+    assert report["error"]["message"].startswith(f"bad scheme spec {scheme!r}")
+
+
+def test_padded_scheme_spec(capsys):
+    argv = ["sample", "--scheme", " zass:2,1 ", "--level", "2", "--alphabet", "2",
+            "--seed", "7", "--count", "2"]
+    code, padded, _ = run(capsys, argv)
+    assert code == 0 and padded["scheme"] == " zass:2,1 "
+    _, plain, _ = run(capsys, argv[:2] + ["zass:2,1"] + argv[3:])
+    assert padded["words"] == plain["words"]
 
 
 def test_sample_count_prefix_stability(capsys):
@@ -178,6 +216,33 @@ def test_parse_errors_exit_two(capsys):
     assert code == 2 and report["error"]["kind"] == "parse"
 
 
+@pytest.mark.parametrize("argv", [
+    ["member", "--word", "x1", "--level", "2"],
+    ["member", "--word", "x1", "--emap", "trivial", "--level", "two", "--alphabet", "2"],
+    ["member", "--word", "x1", "--emap", "trivial", "--level", "0", "--alphabet", "2"],
+    ["frobnicate", "--level", "2"],
+    [],
+], ids=["missing-flags", "ill-typed", "out-of-range", "unknown-subcommand", "no-subcommand"])
+def test_bad_command_lines_give_one_json_object(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.count("\n") == 1
+    report = json.loads(captured.out)
+    assert code == 2
+    assert report["error"]["kind"] == "parse"
+
+
+def test_deep_nesting_exits_two(capsys):
+    deep = "(" * 3000 + "x1" + ")" * 3000
+    code, report, _ = run(capsys, [
+        "member", "--word", deep, "--emap", "trivial", "--level", "2", "--alphabet", "1",
+    ])
+    assert code == 2
+    assert report["error"]["kind"] == "parse"
+    assert 0 < report["error"]["position"] < len(deep)
+
+
 def test_precondition_errors_exit_three(tmp_path, capsys):
     code, report, _ = run(capsys, ["massey", "--alphabet", "2", "--level", "1"])
     assert code == 3
@@ -239,6 +304,37 @@ def test_batch_mixed_jobs(tmp_path, capsys):
     ]
     assert report["jobs"][3]["report"]["error"]["kind"] == "parse"
     assert report["jobs"][4]["report"]["error"]["kind"] == "parse"
+
+
+def test_batch_parameters_come_from_the_command_table(tmp_path, capsys):
+    jobs = [
+        {"command": "massey", "parameters": {"alphabet": 2, "level": 2, "help": True}},
+        {"command": "batch", "parameters": {"jobs": "jobs.json"}},
+        {"command": "sample", "seed": 7, "parameters": {
+            "scheme": "zass:2,1", "level": 2, "alphabet": 2, "count": 2}},
+        {"command": "massey", "seed": 7, "parameters": {
+            "alphabet": 2, "level": 2, "emit-matrix": True}},
+        {"command": "massey", "parameters": {"alphabet": 2, "level": 2, "emit-matrix": False}},
+        {"command": ["massey"]},
+    ]
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps(jobs))
+    code = cli.main(["batch", "--jobs", str(path)])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.count("\n") == 1
+    report = json.loads(captured.out)
+    assert code == 2
+    assert [j["exit"] for j in report["jobs"]] == [2, 2, 0, 0, 0, 2]
+    assert "'help'" in report["jobs"][0]["report"]["error"]["message"]
+    assert "'batch'" in report["jobs"][1]["report"]["error"]["message"]
+    sample = report["jobs"][2]["report"]
+    assert sample["seed"] == 7
+    assert sample["words"] == ["x2^-1*x1*x2*x1^-3*x2*x1^-1*x2*x1", "x1^-2"]
+    massey = report["jobs"][3]["report"]
+    assert massey["seed"] is None
+    assert massey["matrix"]["entries"] == [["0", "1", "-1", "0"]]
+    assert "matrix" not in report["jobs"][4]["report"]
 
 
 def test_batch_parameters_must_be_an_object(tmp_path, capsys):

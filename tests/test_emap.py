@@ -340,6 +340,9 @@ def test_parse_emap():
     for bad in ("", "const", "const:x", "zass:4,1", "zass:2", "unknown:1", "gcdseq:"):
         with pytest.raises(ValueError):
             parse_emap(bad)
+    with pytest.raises(ValueError, match=r"^bad e-map spec 'zass:2': expected 2 integers, got 1$"):
+        parse_emap(" zass:2 ")
+    assert parse_emap(" zass:2,1 ").describe() == "zass:2,1"
 
 
 def test_parse_emap_file(tmp_path):

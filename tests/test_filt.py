@@ -15,7 +15,6 @@ from filtrate.filt import (
     AFiltration,
     FiltrationSpec,
     QZassenhaus,
-    Route,
     SampleBudget,
     UniMatrix,
     kernel_witness,

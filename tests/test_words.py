@@ -126,6 +126,14 @@ def test_parse_errors_carry_position():
         parse_word("y1", 2)
 
 
+def test_deep_nesting_is_a_syntax_error():
+    assert parse_word("(" * 100 + "x1" + ")" * 100, 1).letters == (1,)
+    for text in ("(" * 3000 + "x1" + ")" * 3000, "[x1," * 3000 + "x1" + "]" * 3000):
+        with pytest.raises(WordSyntaxError, match="nested too deeply") as info:
+            parse_word(text, 1)
+        assert 0 < info.value.position < len(text)
+
+
 def test_format_round_trip_counted():
     rng = random.Random(21)
     for _ in range(1000):
