@@ -33,7 +33,7 @@ from .filt import (
     sample_recursive,
 )
 from .magnus import CapExceededError, TruncSeries, coefficient, inverse, magnus
-from .massey import PairingMatrix, massey_rank, necklace, pairing_matrix, pairing_value
+from .massey import PairingMatrix, massey_rank, necklace, pairing_matrix, pairing_rank
 from .words import (
     BasicCommutator,
     GroupWord,

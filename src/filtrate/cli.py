@@ -28,7 +28,7 @@ import sys
 from functools import cache
 
 from . import __version__
-from .coeff import integer_rank, parse_ring
+from .coeff import parse_ring
 from .emap import check_binomial, check_condition_iii, check_descending, parse_emap, spec_ints
 from .filt import (
     AFiltration,
@@ -42,7 +42,7 @@ from .filt import (
     series_witness,
 )
 from .magnus import magnus, series_json
-from .massey import necklace, pairing_matrix
+from .massey import necklace, pairing_matrix, pairing_rank
 from .words import WordSyntaxError, format_monomial, format_word, parse_monomial, parse_word
 
 GRAMMAR = """\
@@ -215,7 +215,7 @@ def _cmd_emap_check(args) -> tuple[int, dict]:
 
 def _cmd_massey(args) -> tuple[int, dict]:
     matrix = pairing_matrix(args.alphabet, args.level)
-    rank = integer_rank(matrix.entries)
+    rank = pairing_rank(matrix)
     target = necklace(args.alphabet, args.level)
     report = {
         "alphabet": args.alphabet,
@@ -334,6 +334,9 @@ def _run_job(index: int, job) -> tuple[int, dict]:
         if key not in flags:
             return 2, _error_report(_parse_error(f"job {index}: unknown parameter {key!r}"))
         if flags[key].get("action") == "store_true":
+            if not isinstance(value, bool):
+                return 2, _error_report(_parse_error(
+                    f"job {index}: parameter {key!r} must be true or false, got {value!r}"))
             if value:
                 argv.append(f"--{key}")
         else:

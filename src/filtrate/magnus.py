@@ -133,10 +133,6 @@ class TruncSeries:
                     out[w] = out.get(w, 0) + a * b
         return TruncSeries._trusted(self.ring, self.alphabet_size, cap, out)
 
-    def degree_slice(self, d: int) -> dict[Monomial, int]:
-        """The coefficients in degree exactly d, as a fresh dict."""
-        return {w: c for w, c in self.coeffs.items() if len(w) == d}
-
     def sorted_terms(self):
         """Terms in (length, lex) order."""
         return sorted(self.coeffs.items(), key=lambda item: (len(item[0]), item[0]))

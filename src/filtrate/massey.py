@@ -1,21 +1,29 @@
 """The degree-n pairing between commutator realizations and monomial weights.
 
-Pairing a word g (lying at least n deep in the lower central series) with a
-weight vector supported on length-n monomials sums the degree-n Magnus
-coefficients of g against the weights.  Stacking the rows for all Lyndon
-bracketings of weight n yields an integer matrix whose rank over Q equals
-the number of aperiodic necklaces on n beads in m colors.
+Row u of the pairing matrix holds the degree-n Magnus coefficients of the
+realized bracketing of the Lyndon word u, one column per length-n monomial
+in lexicographic order.  Those coefficients are the Lie polynomial of the
+bracketing: a generator xi gives xi, and when a and b expand as
+1 + alpha and 1 + beta plus terms of degree above p and q, the commutator
+[a, b] = a^-1 b^-1 a b expands as 1 + alpha*beta - beta*alpha plus terms of
+degree above p + q (Magnus 1937).  So rows are computed on the bracket tree, and no word is
+expanded.
+
+The bracketing of a Lyndon word u has u as its least monomial, with
+coefficient +-1 (Chen-Fox-Lyndon 1958).  On the columns of the Lyndon words
+the matrix is therefore triangular with a unit diagonal, and its rank over
+Q is the number of rows: the count of aperiodic necklaces on n beads in m
+colors.  `pairing_rank` checks exactly this, and eliminates when it fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeff import ZZ, integer_rank
-from .emap import TrivialEMap, _prime_factors
-from .filt import FiltrationSpec, member_series
-from .magnus import coefficient, magnus
+from .coeff import integer_rank
+from .emap import _prime_factors
 from .words import (
+    BasicCommutator,
     GroupWord,
     Monomial,
     basic_commutator,
@@ -23,6 +31,10 @@ from .words import (
     lyndon_words,
     realize,
 )
+
+# Largest pairing matrix built: entries plus column-label letters,
+# (rows + n) * k**n.  Checked before any of it is enumerated.
+MAX_CELLS = 10**7
 
 
 def _mobius(d: int) -> int:
@@ -54,30 +66,6 @@ def necklace(m: int, n: int) -> int:
     return total // n
 
 
-def pairing_value(g: GroupWord, weights: dict[Monomial, int], n: int) -> int:
-    """Sum of weights[w] times the degree-n Magnus coefficient of g at w.
-
-    Requires g to lie n deep in the lower central series (checked through
-    the series membership route); the value is then well defined modulo
-    nothing, an honest integer.
-    """
-    if n < 1:
-        raise ValueError(f"level must be >= 1, got {n}")
-    for w in weights:
-        if len(w) != n:
-            raise ValueError(f"weight key {w} does not have length {n}")
-        for c in w:
-            if not 1 <= c <= g.alphabet_size:
-                raise ValueError(
-                    f"weight key {w} uses letter {c} outside x1..x{g.alphabet_size}"
-                )
-    spec = FiltrationSpec(TrivialEMap(), n)
-    if not member_series(g, spec):
-        raise ValueError(f"{g!r} is not {n} deep in the lower central series")
-    s = magnus(g, ZZ, n)
-    return sum(r * coefficient(s, w) for w, r in weights.items())
-
-
 @dataclass(frozen=True)
 class PairingMatrix:
     """Rows: realized Lyndon bracketings of weight n.  Columns: all length-n
@@ -90,23 +78,87 @@ class PairingMatrix:
     entries: tuple[tuple[int, ...], ...]
 
 
+def _column(w: Monomial, k: int) -> int:
+    """Position of w among the monomials of its length, in lexicographic order."""
+    index = 0
+    for letter in w:
+        index = index * k + letter - 1
+    return index
+
+
+def _lie_polynomial(bc: BasicCommutator, k: int) -> dict[int, int]:
+    """The Lie polynomial of a bracket tree, monomials keyed by _column.
+
+    The key of the concatenation uv is key(u) * k**len(v) + key(v).
+    """
+    if bc.is_leaf:
+        return {bc.gen - 1: 1}
+    left, right = _lie_polynomial(bc.left, k), _lie_polynomial(bc.right, k)
+    shift_left, shift_right = k**bc.right.weight, k**bc.left.weight
+    out: dict[int, int] = {}
+    for u, a in left.items():
+        for v, b in right.items():
+            uv, vu = u * shift_left + v, v * shift_right + u
+            out[uv] = out.get(uv, 0) + a * b
+            out[vu] = out.get(vu, 0) - a * b
+    return {w: c for w, c in out.items() if c}
+
+
+def _check_size(k: int, n: int) -> None:
+    # each of the k**n >= 2**n column labels has n letters, so these levels
+    # are over the limit without computing k**n
+    if n > (MAX_CELLS if k == 1 else MAX_CELLS.bit_length()):
+        cells = f"more than {MAX_CELLS}"
+    else:
+        cells = (necklace(k, n) + n) * k**n
+        if cells <= MAX_CELLS:
+            return
+    raise ValueError(
+        f"the pairing matrix at alphabet {k}, level {n} needs {cells} cells"
+        f" ((rows + level) * alphabet^level), over the limit of {MAX_CELLS}"
+    )
+
+
 def pairing_matrix(alphabet_size: int, n: int) -> PairingMatrix:
-    """The full degree-n pairing matrix over the given alphabet; needs n >= 2."""
+    """The full degree-n pairing matrix over the given alphabet.
+
+    Needs n >= 2, and at most MAX_CELLS cells.
+    """
     if n < 2:
         raise ValueError(f"level must be >= 2, got {n}")
     if alphabet_size < 1:
         raise ValueError(f"alphabet size must be >= 1, got {alphabet_size}")
-    columns = tuple(enumerate_monomials(alphabet_size, n))
+    _check_size(alphabet_size, n)
+    width = alphabet_size**n
     rows = []
     labels = []
     for u in lyndon_words(alphabet_size, n):
-        g = realize(basic_commutator(u), alphabet_size)
-        s = magnus(g, ZZ, n)
-        labels.append(g)
-        rows.append(tuple(s.coeffs.get(w, 0) for w in columns))
+        bc = basic_commutator(u)
+        row = [0] * width
+        for w, c in _lie_polynomial(bc, alphabet_size).items():
+            row[w] = c
+        rows.append(tuple(row))
+        labels.append(realize(bc, alphabet_size))
+    columns = tuple(enumerate_monomials(alphabet_size, n))
     return PairingMatrix(n, alphabet_size, tuple(labels), columns, tuple(rows))
+
+
+def pairing_rank(matrix: PairingMatrix) -> int:
+    """Exact rank over Q of the entries of a pairing matrix.
+
+    If row i is +-1 at the column of the i-th Lyndon word and 0 before it,
+    the rows lead at distinct columns and are independent, so the rank is
+    the row count.  Otherwise it comes from `integer_rank`.
+    """
+    k = matrix.alphabet_size
+    pivots = [_column(u, k) for u in lyndon_words(k, matrix.level)]
+    if len(pivots) == len(matrix.entries) and all(
+        row[c] in (1, -1) and not any(row[:c]) for row, c in zip(matrix.entries, pivots)
+    ):
+        return len(pivots)
+    return integer_rank(matrix.entries)
 
 
 def massey_rank(alphabet_size: int, n: int) -> int:
     """Exact rank over Q of the degree-n pairing matrix."""
-    return integer_rank(pairing_matrix(alphabet_size, n).entries)
+    return pairing_rank(pairing_matrix(alphabet_size, n))

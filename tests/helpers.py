@@ -1,7 +1,10 @@
 """Shared generators and independent oracles for the test suite.
 
 Everything here is deliberately written from definitions, not by calling the
-package: oracles must be able to catch the package being wrong.
+package: oracles must be able to catch the package being wrong.  The two
+pairing helpers at the end are the exception: they take the long way through
+`realize` and `magnus`, which shares nothing with the Lie-polynomial rows of
+`massey.pairing_matrix`.
 """
 
 from __future__ import annotations
@@ -9,9 +12,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from filtrate.emap import ExplicitEMap
-from filtrate.magnus import TruncSeries
-from filtrate.words import GroupWord
+from filtrate.coeff import ZZ
+from filtrate.emap import ExplicitEMap, TrivialEMap
+from filtrate.filt import FiltrationSpec, member_series
+from filtrate.magnus import TruncSeries, coefficient, magnus
+from filtrate.words import GroupWord, basic_commutator, enumerate_monomials, lyndon_words, realize
 
 
 def rational_rank(matrix) -> int:
@@ -177,3 +182,35 @@ def decompose_in_ideal(s: TruncSeries, e, n: int):
             return None
         rebuilt[w] = g * (c // g)
     return TruncSeries(s.ring, s.alphabet_size, s.cap, rebuilt)
+
+
+def pairing_value(g: GroupWord, weights: dict, n: int) -> int:
+    """Sum of weights[w] times the degree-n Magnus coefficient of g at w.
+
+    Requires g to lie n deep in the lower central series (checked through
+    the series membership route); the value is then an honest integer.
+    """
+    if n < 1:
+        raise ValueError(f"level must be >= 1, got {n}")
+    for w in weights:
+        if len(w) != n:
+            raise ValueError(f"weight key {w} does not have length {n}")
+        for c in w:
+            if not 1 <= c <= g.alphabet_size:
+                raise ValueError(
+                    f"weight key {w} uses letter {c} outside x1..x{g.alphabet_size}"
+                )
+    if not member_series(g, FiltrationSpec(TrivialEMap(), n)):
+        raise ValueError(f"{g!r} is not {n} deep in the lower central series")
+    s = magnus(g, ZZ, n)
+    return sum(r * coefficient(s, w) for w, r in weights.items())
+
+
+def pairing_rows_by_magnus(k: int, n: int) -> tuple:
+    """Pairing-matrix rows by expanding each realized Lyndon bracketing to cap n."""
+    columns = list(enumerate_monomials(k, n))
+    rows = []
+    for u in lyndon_words(k, n):
+        s = magnus(realize(basic_commutator(u), k), ZZ, n)
+        rows.append(tuple(s.coeffs.get(w, 0) for w in columns))
+    return tuple(rows)

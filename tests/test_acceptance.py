@@ -229,6 +229,7 @@ def test_acceptance_6_pairing_rank_equals_necklace(capsys):
     expected = {
         (2, 2): 1, (2, 3): 2, (2, 4): 3, (2, 5): 6,
         (3, 2): 3, (3, 3): 8, (3, 4): 18, (3, 5): 48,
+        (2, 12): 335, (4, 6): 670,
     }
     failures = []
     for (m, n), value in expected.items():
@@ -239,7 +240,8 @@ def test_acceptance_6_pairing_rank_equals_necklace(capsys):
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < budget_s
     _verdict(capsys, 6, "pairing-rank-equals-necklace", ok,
-             f"8 (alphabet, level) pairs up to (3, 5), {elapsed:.1f}s < {budget_s:.0f}s")
+             f"{len(expected)} (alphabet, level) pairs up to (2, 12) and (4, 6), "
+             f"{elapsed:.1f}s < {budget_s:.0f}s")
     assert ok, failures
 
 

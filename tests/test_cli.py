@@ -1,8 +1,20 @@
 import json
+import time
 
 import pytest
 
 import filtrate.cli as cli
+from filtrate.massey import MAX_CELLS
+from filtrate.words import (
+    basic_commutator,
+    enumerate_monomials,
+    format_monomial,
+    format_word,
+    lyndon_words,
+    realize,
+)
+
+from helpers import pairing_rows_by_magnus
 
 
 def run(capsys, argv):
@@ -194,6 +206,45 @@ def test_massey_emit_matrix_exact_bytes(capsys):
     )
 
 
+def test_massey_emit_matrix_matches_the_magnus_rows(capsys):
+    code, _, raw = run(capsys, ["massey", "--alphabet", "3", "--level", "3", "--emit-matrix"])
+    assert code == 0
+    rows = pairing_rows_by_magnus(3, 3)
+    assert raw == json.dumps({
+        "version": "0.1.0", "seed": None, "command": "massey", "alphabet": 3, "level": 3,
+        "rank": 8, "necklace": 8, "match": True, "rows": 8, "cols": 27,
+        "matrix": {
+            "row_labels": [format_word(realize(basic_commutator(u), 3))
+                           for u in lyndon_words(3, 3)],
+            "column_labels": [format_monomial(w) for w in enumerate_monomials(3, 3)],
+            "entries": [[str(v) for v in row] for row in rows],
+        },
+    }) + "\n"
+
+
+@pytest.mark.parametrize("alphabet, level", [
+    ("8", "12"), ("2", "1000000000000"), ("1", "100000000000"), ("10" * 40, "2"),
+])
+def test_massey_size_limit_is_checked_first(capsys, alphabet, level):
+    start = time.perf_counter()
+    code = cli.main(["massey", "--alphabet", alphabet, "--level", level])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and captured.err == ""
+    assert captured.out.count("\n") == 1
+    error = json.loads(captured.out)["error"]
+    assert error["kind"] == "precondition"
+    assert str(MAX_CELLS) in error["message"]
+    assert elapsed < 0.5
+
+
+def test_massey_size_limit_admits_the_acceptance_sizes(capsys):
+    for alphabet, level, rank in (("2", "12", 335), ("4", "6", 670)):
+        code, report, _ = run(capsys, ["massey", "--alphabet", alphabet, "--level", level])
+        assert code == 0
+        assert report["rank"] == report["necklace"] == rank
+
+
 def test_parse_errors_exit_two(capsys):
     code, report, _ = run(capsys, [
         "member", "--word", "x1**", "--emap", "trivial", "--level", "2", "--alphabet", "2",
@@ -316,6 +367,10 @@ def test_batch_parameters_come_from_the_command_table(tmp_path, capsys):
             "alphabet": 2, "level": 2, "emit-matrix": True}},
         {"command": "massey", "parameters": {"alphabet": 2, "level": 2, "emit-matrix": False}},
         {"command": ["massey"]},
+        # a switch takes a JSON boolean and nothing else
+        {"command": "massey", "parameters": {"alphabet": 2, "level": 2, "emit-matrix": "false"}},
+        {"command": "massey", "parameters": {"alphabet": 2, "level": 2, "emit-matrix": 1}},
+        {"command": "massey", "parameters": {"alphabet": 2, "level": 2, "emit-matrix": None}},
     ]
     path = tmp_path / "jobs.json"
     path.write_text(json.dumps(jobs))
@@ -325,7 +380,7 @@ def test_batch_parameters_come_from_the_command_table(tmp_path, capsys):
     assert captured.out.count("\n") == 1
     report = json.loads(captured.out)
     assert code == 2
-    assert [j["exit"] for j in report["jobs"]] == [2, 2, 0, 0, 0, 2]
+    assert [j["exit"] for j in report["jobs"]] == [2, 2, 0, 0, 0, 2, 2, 2, 2]
     assert "'help'" in report["jobs"][0]["report"]["error"]["message"]
     assert "'batch'" in report["jobs"][1]["report"]["error"]["message"]
     sample = report["jobs"][2]["report"]
@@ -335,6 +390,9 @@ def test_batch_parameters_come_from_the_command_table(tmp_path, capsys):
     assert massey["seed"] is None
     assert massey["matrix"]["entries"] == [["0", "1", "-1", "0"]]
     assert "matrix" not in report["jobs"][4]["report"]
+    for job in report["jobs"][6:]:
+        assert job["report"]["error"]["kind"] == "parse"
+        assert "'emit-matrix'" in job["report"]["error"]["message"]
 
 
 def test_batch_parameters_must_be_an_object(tmp_path, capsys):

@@ -1,21 +1,17 @@
+import dataclasses
 import random
 
 import pytest
 
+import filtrate.massey as massey
 from filtrate.coeff import ZZ, integer_rank
 from filtrate.emap import TrivialEMap
 from filtrate.filt import FiltrationSpec, SampleBudget, member_series, product_sampler
 from filtrate.magnus import coefficient, magnus
-from filtrate.massey import (
-    PairingMatrix,
-    massey_rank,
-    necklace,
-    pairing_matrix,
-    pairing_value,
-)
+from filtrate.massey import PairingMatrix, massey_rank, necklace, pairing_matrix, pairing_rank
 from filtrate.words import enumerate_monomials, lyndon_words, parse_word, realize, basic_commutator
 
-from helpers import necklace_by_mobius, rational_rank
+from helpers import necklace_by_mobius, pairing_rows_by_magnus, pairing_value, rational_rank
 
 
 def test_necklace_frozen_values():
@@ -126,6 +122,60 @@ def test_rank_equals_necklace_count():
             assert rank == necklace(m, n), (m, n, rank)
             assert rank == rational_rank([list(r) for r in pm.entries])
     assert massey_rank(2, 5) == necklace(2, 5) == 6
+
+
+def test_lie_rows_match_magnus_rows():
+    # every (k, n) with k**n <= 1024: the rows of the old build, which
+    # expanded each realized bracketing to cap n
+    for k in range(2, 33):
+        n = 2
+        while k**n <= 1024:
+            pm = pairing_matrix(k, n)
+            assert pm.entries == pairing_rows_by_magnus(k, n), (k, n)
+            assert pm.row_labels == tuple(
+                realize(basic_commutator(u), k) for u in lyndon_words(k, n)
+            )
+            n += 1
+
+
+def _with_row(pm, i, row):
+    return dataclasses.replace(pm, entries=pm.entries[:i] + (tuple(row),) + pm.entries[i + 1:])
+
+
+def test_rank_falls_back_to_elimination_without_the_certificate(monkeypatch):
+    calls = []
+
+    def spy(entries):
+        calls.append(len(entries))
+        return integer_rank(entries)
+
+    monkeypatch.setattr(massey, "integer_rank", spy)
+    for k, n in ((2, 5), (3, 4), (2, 6)):
+        calls.clear()
+        pm = pairing_matrix(k, n)
+        rows = len(pm.entries)
+        assert pairing_rank(pm) == rows == necklace(k, n)
+        assert calls == []
+        i = rows // 2
+        lyndon = pm.column_labels.index(list(lyndon_words(k, n))[i])
+        doubled = list(pm.entries[i])
+        doubled[lyndon] *= 2
+        earlier = list(pm.entries[i])
+        earlier[0] = 1  # x1^n, never a term of a bracketing
+        mutants = [
+            _with_row(pm, i, doubled),
+            _with_row(pm, i, earlier),
+            _with_row(pm, i, pm.entries[i - 1]),
+            dataclasses.replace(pm, entries=pm.entries + pm.entries[:1]),
+        ]
+        for mutant in mutants:
+            calls.clear()
+            rank = pairing_rank(mutant)
+            assert calls == [len(mutant.entries)], (k, n)
+            assert rank == rational_rank([list(r) for r in mutant.entries]), (k, n)
+        # a duplicated row, in place or appended, loses a rank
+        assert pairing_rank(mutants[2]) == rows - 1
+        assert pairing_rank(mutants[3]) == rows
 
 
 def test_oversampling_members_does_not_raise_rank():
