@@ -10,7 +10,7 @@ part is divisible by e(n, i) for i < n; degrees >= n are unconstrained.
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, gcd
 from typing import NamedTuple
 
@@ -258,6 +258,24 @@ def check_condition_iii(e: EMap, n_max: int) -> CheckResult:
     return CheckResult(True, None)
 
 
+def prefix_gcds(values) -> list[int]:
+    """The running gcds gcd(v1), gcd(v1, v2), ... of a sequence of integers."""
+    return list(accumulate(values, gcd, initial=0))[1:]
+
+
+def ideal_divisors(e: EMap, n: int) -> list[int]:
+    """The divisors gcd(e(n, 1..d)) of the level-n ideal for d = 1, 2, ...,
+    up to its last degree whose divisor is not 1.
+
+    The running gcd never leaves 1 once it gets there, so the degrees past
+    the list, and degrees >= n, constrain nothing.
+    """
+    divisors = prefix_gcds(e.evaluate(n, i) for i in range(1, n))
+    while divisors and divisors[-1] == 1:
+        divisors.pop()
+    return divisors
+
+
 def normalize(e: EMap, n_max: int) -> ExplicitEMap:
     """Replace each row by its prefix gcds: e'(n, i) = gcd(e(n,1..i)).
 
@@ -269,13 +287,22 @@ def normalize(e: EMap, n_max: int) -> ExplicitEMap:
         row = e.row(n)
         if row[n - 1] != 1:
             raise ValueError(f"e({n},{n}) = {row[n - 1]} != 1; cannot normalize")
-        out = []
-        g = 0
-        for v in row:
-            g = gcd(g, v)
-            out.append(g)
-        table[n] = tuple(out)
+        table[n] = tuple(prefix_gcds(row))
     return ExplicitEMap(table)
+
+
+def divisor_witness(s: TruncSeries, divisors) -> tuple | None:
+    """First (length, lex) term of s with a nonzero constant, or of degree
+    d <= len(divisors) not divisible by divisors[d - 1]; None if there is none."""
+    for w, c in s.sorted_terms():
+        d = len(w)
+        if d == 0:
+            return (0, w, c)
+        if d > len(divisors):
+            break
+        if not divisible(c, divisors[d - 1]):
+            return (d, w, c)
+    return None
 
 
 def ideal_member_witness(s: TruncSeries, e: EMap, n: int):
@@ -283,29 +310,20 @@ def ideal_member_witness(s: TruncSeries, e: EMap, n: int):
 
     Membership in the level-n ideal means: zero constant term, and every
     degree-i coefficient divisible by gcd(e(n,1..i)) for 1 <= i <= n-1.
-    Degrees >= n are unconstrained.  For descending tables the prefix gcd
-    is e(n, i) itself.
+    Degrees >= n are unconstrained, and so are degrees whose divisor is 1,
+    so s needs a cap only up to the last degree whose divisor is not 1.
+    For descending tables the prefix gcd is e(n, i) itself.
     """
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
     if s.ring != ZZ:
         raise ValueError(f"ideal membership is over Z, series is over {s.ring}")
-    if s.cap < n - 1:
-        raise ValueError(f"cap {s.cap} too small: membership at level {n} reads degrees up to {n - 1}")
-    divisors = []
-    g = 0
-    for i in range(1, n):
-        g = gcd(g, e.evaluate(n, i))
-        divisors.append(g)
-    for w, c in s.sorted_terms():
-        d = len(w)
-        if d == 0:
-            return (0, w, c)
-        if d >= n:
-            break
-        if not divisible(c, divisors[d - 1]):
-            return (d, w, c)
-    return None
+    divisors = ideal_divisors(e, n)
+    if s.cap < len(divisors):
+        raise ValueError(
+            f"cap {s.cap} too small: membership at level {n} reads degrees up to {len(divisors)}"
+        )
+    return divisor_witness(s, divisors)
 
 
 def ideal_member(s: TruncSeries, e: EMap, n: int) -> bool:

@@ -4,11 +4,18 @@ The level-n term of the filtration attached to a descending exponent table
 is the set of words whose Magnus expansion minus 1 lies in the level-n
 ideal.  Membership is decided by two deliberately different routes:
 
-* the series route reads the expansion over Z at cap n-1 and checks the
-  per-degree divisibility directly;
-* the kernel route builds, for every monomial w of length d < n, the
-  unipotent matrix of subword coefficients over Z/e(n,d) and demands the
-  identity.
+* the series route checks the per-degree divisibility of the expansion
+  over Z directly.  It reads degree 1 from an expansion at cap 1 first,
+  and only if that passes, the degrees up to the last one whose divisor
+  gcd(e(n, 1..d)) is not 1, from an expansion at that cap;
+* the kernel route builds, for every monomial w of length d < n with
+  e(n, d) != 1, the unipotent matrix of subword coefficients over
+  Z/e(n,d) and demands the identity.
+
+Neither route reads a degree whose divisor is 1: nothing there can fail.
+The kernel route decides this from e(n, d) itself, not from the series
+route's divisors, so the two routes share no rule about which degrees
+count.
 
 The two must agree on every input; a disagreement is a bug, never noise.
 """
@@ -20,7 +27,14 @@ from dataclasses import dataclass
 from itertools import product
 
 from .coeff import RingSpec, ZZ, reduce as ring_reduce
-from .emap import EMap, _is_prime, check_descending, ideal_member_witness
+from .emap import (
+    EMap,
+    _is_prime,
+    check_descending,
+    divisor_witness,
+    ideal_divisors,
+    ideal_member_witness,
+)
 from .magnus import TruncSeries, magnus
 from .words import (
     GroupWord,
@@ -164,13 +178,24 @@ class FiltrationSpec:
 
 
 def series_witness(g: GroupWord, spec: FiltrationSpec):
-    """Failing (degree, monomial, coefficient) on the series route, or None."""
-    n = spec.level
-    if n == 1:
+    """Failing (degree, monomial, coefficient) on the series route, or None.
+
+    Degree 1 is read first, from an expansion at cap 1.  Only if it passes
+    is the word expanded again, up to the last degree whose divisor is not
+    1; the degrees above it cannot fail.  An expansion at cap c is exact in
+    every degree up to c, so the witness is the first failing term in
+    (length, lex) order, as if every degree below n had been expanded.
+    """
+    divisors = ideal_divisors(spec.emap, spec.level)
+    if not divisors:
         return None
-    s = magnus(g, ZZ, n - 1)
-    delta = s - TruncSeries.one(ZZ, g.alphabet_size, n - 1)
-    return ideal_member_witness(delta, spec.emap, n)
+    one = TruncSeries.one(ZZ, g.alphabet_size, 1)
+    witness = divisor_witness(magnus(g, ZZ, 1) - one, divisors[:1])
+    top = len(divisors)
+    if witness is not None or top == 1:
+        return witness
+    delta = magnus(g, ZZ, top) - TruncSeries.one(ZZ, g.alphabet_size, top)
+    return ideal_member_witness(delta, spec.emap, spec.level)
 
 
 def member_series(g: GroupWord, spec: FiltrationSpec) -> bool:
@@ -182,15 +207,18 @@ def kernel_witness(g: GroupWord, spec: FiltrationSpec):
     """Failing (degree, monomial, entry) on the kernel route, or None.
 
     Words of each length d < n are scanned lazily in lexicographic order and
-    the scan stops at the first non-identity image.  The expansion over
-    Z/e(n,d) is shared by all words of length d, but each matrix is built
-    and tested as a matrix.
+    the scan stops at the first non-identity image.  A length d with
+    e(n, d) = 1 is skipped: over the zero ring Z/1 every matrix is the
+    identity.  The expansion over Z/e(n,d) is shared by all words of length
+    d, but each matrix is built and tested as a matrix.
     """
     n = spec.level
     k = g.alphabet_size
     for d in range(1, n):
-        ring = RingSpec(spec.emap.evaluate(n, d))
-        series = magnus(g, ring, d)
+        modulus = spec.emap.evaluate(n, d)
+        if modulus == 1:
+            continue
+        series = magnus(g, RingSpec(modulus), d)
         for w in product(range(1, k + 1), repeat=d):
             image = _phi_from_series(w, series)
             if not image.is_identity():

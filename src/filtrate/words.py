@@ -16,6 +16,10 @@ from itertools import chain, product, repeat
 
 Monomial = tuple[int, ...]
 
+# The most runs a power w^k may have.  Larger powers are refused before they
+# are built: the parser would otherwise allocate them from a few characters.
+MAX_RUNS = 10**6
+
 
 class WordSyntaxError(ValueError):
     """Malformed word expression; position is a 0-based offset into the text."""
@@ -125,12 +129,28 @@ def _join(left: tuple, right: tuple) -> tuple:
     return left[:a] + right[b:]
 
 
+def _power_run_count(runs: tuple, k: int) -> int:
+    """The exact run count of w^k for k >= 1, from the runs of w and of w^2.
+
+    Write w = u c u^-1 with c cyclically reduced.  Then w^k = u c^k u^-1, and
+    each factor of c after the first adds the same runs at the same junction,
+    so the count grows by runs(w^2) - runs(w) with every further factor.
+    """
+    square = _join(runs, runs)
+    return len(runs) + (k - 1) * (len(square) - len(runs))
+
+
 def _power(runs: tuple, k: int) -> tuple:
     """A reduced run tuple raised to k >= 0 by repeated squaring.
 
     The tuples double in length, so the work is O(k * len(runs)) in all, and
-    a single run x^e only ever has its exponent doubled.
+    a single run x^e only ever has its exponent doubled.  A result of more
+    than MAX_RUNS runs is refused before anything is built.
     """
+    if k > 1:
+        count = _power_run_count(runs, k)
+        if count > MAX_RUNS:
+            raise ValueError(f"the power has {count} runs, over the limit of {MAX_RUNS}")
     result = ()
     while k:
         if k & 1:
@@ -319,7 +339,10 @@ def enumerate_monomials(alphabet_size: int, length: int):
     """All monomials of the given length, in lexicographic order."""
     if alphabet_size < 1 or length < 0:
         raise ValueError("need alphabet_size >= 1 and length >= 0")
-    return (tuple(t) for t in product(range(1, alphabet_size + 1), repeat=length))
+    if alphabet_size == 1:
+        # product() would hold length-long pools and indices besides the word
+        return iter([(1,) * length])
+    return product(range(1, alphabet_size + 1), repeat=length)
 
 
 def is_lyndon(w: Monomial) -> bool:
@@ -337,6 +360,11 @@ def lyndon_words(alphabet_size: int, weight: int):
     """
     if alphabet_size < 1 or weight < 1:
         raise ValueError("need alphabet_size >= 1 and weight >= 1")
+    if alphabet_size == 1:
+        # x1 is the only Lyndon word on one letter
+        if weight == 1:
+            yield (1,)
+        return
     w = [0]
     while w:
         w[-1] += 1

@@ -184,6 +184,50 @@ def decompose_in_ideal(s: TruncSeries, e, n: int):
     return TruncSeries(s.ring, s.alphabet_size, s.cap, rebuilt)
 
 
+def membership_witnesses(g: GroupWord, e, n: int) -> tuple:
+    """Both routes' witnesses for g at level n, from one full expansion.
+
+    The word is expanded letter by letter over Z at cap n - 1 and every
+    degree below n is read, whatever its divisor.  The series witness is
+    the first (length, lex) term whose coefficient gcd(e(n, 1..d)) does
+    not divide.  The kernel witness is the first monomial w of length d,
+    over all d < n in lexicographic order, whose matrix of subword
+    coefficients reduced mod e(n, d) is not the identity, with the entry
+    at its least nonzero (i, j).
+    """
+    from itertools import product
+    from math import gcd
+
+    if n == 1:
+        return None, None
+    coeffs = magnus_by_letters(g.letters, 0, n - 1)
+    series = None
+    divisor = 0
+    for d in range(1, n):
+        divisor = gcd(divisor, e.evaluate(n, d))
+        bad = sorted(w for w, c in coeffs.items()
+                     if len(w) == d and (c % divisor if divisor else c))
+        if bad:
+            series = (d, bad[0], coeffs[bad[0]])
+            break
+    kernel = None
+    for d in range(1, n):
+        m = e.evaluate(n, d)
+        for w in product(range(1, g.alphabet_size + 1), repeat=d):
+            entries = {}
+            for i in range(1, d + 1):
+                for j in range(i + 1, d + 2):
+                    c = coeffs.get(w[i - 1:j - 1], 0)
+                    if c % m if m else c:
+                        entries[(i, j)] = c % m if m else c
+            if entries:
+                kernel = (d, w, entries[min(entries)])
+                break
+        if kernel is not None:
+            break
+    return series, kernel
+
+
 def pairing_value(g: GroupWord, weights: dict, n: int) -> int:
     """Sum of weights[w] times the degree-n Magnus coefficient of g at w.
 

@@ -6,6 +6,7 @@ import pytest
 import filtrate.cli as cli
 from filtrate.massey import MAX_CELLS
 from filtrate.words import (
+    MAX_RUNS,
     basic_commutator,
     enumerate_monomials,
     format_monomial,
@@ -426,6 +427,41 @@ def test_batch_unwritable_output_is_a_job_error(tmp_path, capsys):
     assert error["output"] == missing and missing in error["message"]
     assert report["jobs"][1]["report"]["error"]["output"] is True
     assert report["jobs"][2]["report"]["rank"] == 1
+
+
+def test_oversized_power_exits_three_at_once(capsys):
+    start = time.perf_counter()
+    code = cli.main(["member", "--word", "(((x1*x2)^1000)^1000)^1000", "--level", "3",
+                     "--emap", "trivial", "--alphabet", "2"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and captured.err == ""
+    assert captured.out.count("\n") == 1
+    error = json.loads(captured.out)["error"]
+    assert error == {"kind": "precondition",
+                     "message": f"the power has 2000000 runs, over the limit of {MAX_RUNS}"}
+    assert elapsed < 0.5
+
+
+def test_member_long_conjugate_power(capsys):
+    code, report, _ = run(capsys, [
+        "member", "--word", "(x1*x2*x1^-1)^1000000000", "--level", "2", "--emap", "trivial",
+        "--alphabet", "2",
+    ])
+    assert code == 0
+    assert report["witness"] == {"degree": 1, "word": "x2", "coefficient": "1000000000"}
+
+
+def test_massey_one_letter_at_a_long_level(capsys):
+    start = time.perf_counter()
+    code = cli.main(["massey", "--alphabet", "1", "--level", "2000000"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out.count("\n") == 1
+    report = json.loads(captured.out)
+    assert (report["rows"], report["cols"], report["rank"]) == (0, 1, 0)
+    assert elapsed < 0.5
 
 
 def test_member_long_power(capsys):

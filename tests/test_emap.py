@@ -15,10 +15,12 @@ from filtrate.emap import (
     check_binomial,
     check_condition_iii,
     check_descending,
+    ideal_divisors,
     ideal_member,
     ideal_member_witness,
     normalize,
     parse_emap,
+    prefix_gcds,
 )
 from filtrate.magnus import TruncSeries
 
@@ -224,6 +226,33 @@ def test_ideal_member_preconditions():
     # n = 1: only the constant term matters
     assert ideal_member(s, TrivialEMap(), 1)
     assert not ideal_member(TruncSeries(ZZ, 2, 1, {(): 2}), TrivialEMap(), 1)
+
+
+def test_ideal_divisors_stop_at_the_last_constrained_degree():
+    assert prefix_gcds([12, 18, 0, 5, 7]) == [12, 6, 6, 1, 1]
+    assert prefix_gcds([0, 0]) == [0, 0]
+    e = SequenceGcdEMap((3, 3, 2, 2, 2, 2))
+    assert e.row(7) == (144, 24, 4, 2, 1, 1, 1)
+    assert ideal_divisors(e, 7) == [144, 24, 4, 2]
+    assert ideal_divisors(TrivialEMap(), 4) == [0, 0, 0]
+    assert ideal_divisors(ConstantEMap(1), 5) == []
+    assert ideal_divisors(TrivialEMap(), 1) == []
+    # the prefix gcd, not the raw entry: gcd(4, 6) = 2, then gcd(2, 3) = 1
+    assert ideal_divisors(ExplicitEMap({4: (4, 6, 3, 1)}), 4) == [4, 2]
+
+
+def test_ideal_member_witness_needs_only_the_constrained_degrees():
+    e = SequenceGcdEMap((3, 3, 2, 2, 2, 2))  # e(7, .) = (144, 24, 4, 2, 1, 1, 1)
+    s = TruncSeries(ZZ, 2, 4, {(1,): 144, (1, 2, 1, 2): 1})
+    assert ideal_member_witness(s, e, 7) == (4, (1, 2, 1, 2), 1)
+    for cap in (1, 2, 3):
+        with pytest.raises(ValueError, match="reads degrees up to 4"):
+            ideal_member_witness(TruncSeries(ZZ, 2, cap, {(1,): 144}), e, 7)
+    # degrees whose divisor is 1 are unconstrained at any cap
+    s = TruncSeries(ZZ, 2, 6, {(1,): 288, (1,) * 5: 1, (2,) * 6: -1})
+    assert ideal_member_witness(s, e, 7) is None
+    assert ideal_member_witness(TruncSeries(ZZ, 2, 1, {(1,): 1}), ConstantEMap(1), 9) is None
+    assert ideal_member_witness(TruncSeries(ZZ, 2, 1, {(): 1}), ConstantEMap(1), 9) == (0, (), 1)
 
 
 def test_ideal_membership_constructive_round_trip():

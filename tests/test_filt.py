@@ -11,6 +11,7 @@ from filtrate.emap import (
     TrivialEMap,
     ZassenhausEMap,
 )
+from filtrate import filt
 from filtrate.filt import (
     AFiltration,
     FiltrationSpec,
@@ -28,7 +29,7 @@ from filtrate.filt import (
 from filtrate.magnus import TruncSeries, coefficient, magnus
 from filtrate.words import GroupWord, commutator, enumerate_monomials, generator, parse_word
 
-from helpers import random_reduced_word
+from helpers import membership_witnesses, random_descending_table, random_reduced_word
 
 
 def test_unimatrix_construction_and_entry():
@@ -380,3 +381,72 @@ def test_members_act_trivially_off_the_corner():
         for g in product_sampler(TrivialEMap(), n, 2, budget, seed=69 + n):
             for w in enumerate_monomials(2, n):
                 assert phi(w, g, ZZ).equal_ignoring_corner(identity), (n, w, g)
+
+
+def _witness_pool(rng, e, level, k):
+    """Random words, words that pass degree 1 (commutators and e(n,1)-th
+    powers), product-sampler words of the table and x1 times each."""
+    pool = [random_reduced_word(rng, k, 10) for _ in range(10)]
+    pool += [commutator(random_reduced_word(rng, k, 4), random_reduced_word(rng, k, 4))
+             for _ in range(4)]
+    pool += [random_reduced_word(rng, k, 4) ** min(e.evaluate(level, 1), 200) for _ in range(3)]
+    budget = SampleBudget(count=4, max_factor_length=3)
+    built = product_sampler(e, level, k, budget, seed=rng.randint(0, 10**6))
+    return pool + built + [generator(k, 1) * g for g in built]
+
+
+def test_routes_match_the_full_expansion_oracle():
+    rng = random.Random(57)
+    gcdseq = SequenceGcdEMap((3, 3, 2, 2, 2, 2))
+    cases = [(e, level) for e in (TrivialEMap(), ZassenhausEMap(2, 1), ConstantEMap(6))
+             for level in (2, 3, 4, 5)]
+    cases += [(gcdseq, level) for level in range(2, 8)]
+    # multiplier 1 leaves degrees whose divisor is 1 below the diagonal
+    cases += [(random_descending_table(rng, 5, multipliers=(0, 1, 1, 2, 3)), level)
+              for level in (3, 4, 5) for _ in range(4)]
+    seen = {"degree 1": 0, "higher": 0, "member": 0}
+    for e, level in cases:
+        spec = FiltrationSpec(e, level)
+        k = 2 if level > 4 else rng.choice((2, 3))
+        pool = _witness_pool(rng, e, level, k)
+        if e is gcdseq:
+            budget = SampleBudget(count=3, max_factor_length=2)
+            pool += sample_recursive(AFiltration(gcdseq.seq), level, k, budget, seed=level)
+        for g in pool:
+            series, kernel = membership_witnesses(g, e, level)
+            assert series_witness(g, spec) == series, (g, e, level)
+            assert kernel_witness(g, spec) == kernel, (g, e, level)
+            seen["member" if series is None else "degree 1" if series[0] == 1 else "higher"] += 1
+    assert min(seen.values()) >= 30, seen
+
+
+def test_expansions_stop_at_the_degrees_that_can_decide(monkeypatch):
+    calls = []
+    expand = filt.magnus
+
+    def recording(g, ring, cap):
+        calls.append((ring, cap))
+        return expand(g, ring, cap)
+
+    monkeypatch.setattr(filt, "magnus", recording)
+    # a degree-1 failure is read from a cap-1 expansion alone
+    assert series_witness(parse_word("x1*x2^2", 2), FiltrationSpec(ZassenhausEMap(2, 1), 5)) == (
+        1, (1,), 1)
+    assert calls == [(ZZ, 1)]
+    e = SequenceGcdEMap((3, 3, 2, 2, 2, 2))
+    assert e.row(7) == (144, 24, 4, 2, 1, 1, 1)
+    spec = FiltrationSpec(e, 7)
+    budget = SampleBudget(count=2, max_factor_length=2)
+    for g in [parse_word("x1^144", 2)] + sample_recursive(AFiltration(e.seq), 7, 2, budget, seed=3):
+        calls.clear()
+        assert series_witness(g, spec) is None
+        assert calls == [(ZZ, 1), (ZZ, 4)]
+        calls.clear()
+        assert kernel_witness(g, spec) is None
+        assert calls == [(RingSpec(144), 1), (RingSpec(24), 2), (RingSpec(4), 3), (RingSpec(2), 4)]
+    # a table with every divisor 1 constrains nothing
+    calls.clear()
+    spec = FiltrationSpec(ConstantEMap(1), 5)
+    g = parse_word("x1*x2", 2)
+    assert series_witness(g, spec) is None and kernel_witness(g, spec) is None
+    assert calls == []

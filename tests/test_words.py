@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from filtrate.words import (
+    MAX_RUNS,
     BasicCommutator,
     GroupWord,
     WordSyntaxError,
@@ -19,6 +21,7 @@ from filtrate.words import (
     parse_word,
     realize,
 )
+from filtrate.words import _power, _power_run_count
 
 from helpers import brute_lyndon, necklace_by_mobius, random_reduced_word
 
@@ -82,6 +85,27 @@ def test_long_power_is_one_run():
     assert len(w) == 10_000_000
     assert w.runs == ((1, 10_000_000),)
     assert format_word(w) == "x1^10000000"
+
+
+@given(words(), st.integers(min_value=1, max_value=7))
+def test_power_run_count_matches_the_built_power(w, k):
+    for runs in (w.runs, w.inverse().runs):
+        assert _power_run_count(runs, k) == len(_power(runs, k))
+
+
+def test_oversized_powers_are_refused_before_they_are_built():
+    with pytest.raises(ValueError, match=f"2000000 runs, over the limit of {MAX_RUNS}"):
+        parse_word("((x1*x2)^1000)^1000", 2)
+    half = MAX_RUNS // 2
+    assert len(parse_word(f"(x1*x2)^{half}", 2).runs) == 2 * half
+    with pytest.raises(ValueError, match=f"{2 * half + 2} runs"):
+        parse_word(f"(x1*x2)^{half + 1}", 2)
+    with pytest.raises(ValueError, match="runs, over the limit"):
+        GroupWord(2, (1, 2)) ** -(half + 1)
+    # the exact count, not runs(w) * k: a conjugate keeps its three runs
+    w = parse_word("(x1*x2*x1^-1)^1000000000", 2)
+    assert w.runs == ((1, 1), (2, 1_000_000_000), (1, -1))
+    assert parse_word("x1^10000000", 1).runs == ((1, 10_000_000),)
 
 
 def test_alphabet_mismatch_is_an_error():
@@ -222,6 +246,14 @@ def test_lyndon_words_examples():
     assert list(lyndon_words(2, 2)) == [(1, 2)]
     assert list(lyndon_words(2, 3)) == [(1, 1, 2), (1, 2, 2)]
     assert list(lyndon_words(3, 2)) == [(1, 2), (1, 3), (2, 3)]
+
+
+def test_one_letter_has_one_lyndon_word():
+    assert list(lyndon_words(1, 1)) == [(1,)]
+    start = time.perf_counter()
+    assert list(lyndon_words(1, 10**12)) == []
+    assert list(enumerate_monomials(1, 10**6)) == [(1,) * 10**6]
+    assert time.perf_counter() - start < 0.5
 
 
 def test_lyndon_words_against_rotation_minimality():
