@@ -32,7 +32,7 @@ from .filt import (
     product_sampler,
     sample_recursive,
 )
-from .magnus import CapExceededError, TruncSeries, coefficient, inverse, magnus
+from .magnus import CapExceededError, TruncSeries, coefficient, magnus
 from .massey import PairingMatrix, massey_rank, necklace, pairing_matrix, pairing_rank
 from .words import (
     BasicCommutator,

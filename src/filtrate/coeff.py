@@ -8,7 +8,6 @@ with residues kept in canonical form 0 <= r < m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 
 @dataclass(frozen=True)
@@ -53,12 +52,6 @@ def reduce(value: int, ring: RingSpec) -> int:
     if ring.modulus == 0:
         return value
     return value % ring.modulus
-
-
-def is_unit(value: int, ring: RingSpec) -> bool:
-    if ring.modulus == 0:
-        return value in (1, -1)
-    return gcd(value, ring.modulus) == 1
 
 
 def divisible(value: int, d: int) -> bool:

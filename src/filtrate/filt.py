@@ -10,12 +10,16 @@ ideal.  Membership is decided by two deliberately different routes:
   gcd(e(n, 1..d)) is not 1, from an expansion at that cap;
 * the kernel route builds, for every monomial w of length d < n with
   e(n, d) != 1, the unipotent matrix of subword coefficients over
-  Z/e(n,d) and demands the identity.
+  Z/e(n,d) and demands the identity.  It never expands the word: it reads
+  degree 1 from the exponent sums, and only if that passes, multiplies the
+  top rows of all words up to the last such d by the image of each run
+  x_i^e, which has binom(e, b-a) at (a, b) where the word is all i there.
 
 Neither route reads a degree whose divisor is 1: nothing there can fail.
 The kernel route decides this from e(n, d) itself, not from the series
 route's divisors, so the two routes share no rule about which degrees
-count.
+count, and share no code past `words` and `emap`: a bug in `magnus` makes
+them disagree.
 
 The two must agree on every input; a disagreement is a bug, never noise.
 """
@@ -25,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
+from math import comb, lcm
 
 from .coeff import RingSpec, ZZ, reduce as ring_reduce
 from .emap import (
@@ -73,10 +78,6 @@ class UniMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("UniMatrix is immutable")
 
-    @classmethod
-    def identity(cls, size: int, ring: RingSpec) -> "UniMatrix":
-        return cls(size, ring)
-
     def entry(self, i: int, j: int) -> int:
         if not (1 <= i <= self.size and 1 <= j <= self.size):
             raise ValueError(f"index ({i}, {j}) out of range for size {self.size}")
@@ -98,31 +99,6 @@ class UniMatrix:
     def __hash__(self) -> int:
         return hash((self.size, self.ring, frozenset(self.entries.items())))
 
-    def __mul__(self, other: "UniMatrix") -> "UniMatrix":
-        if self.size != other.size or self.ring != other.ring:
-            raise ValueError("mismatched size or ring")
-        out = {}
-        for i in range(1, self.size):
-            for j in range(i + 1, self.size + 1):
-                total = self.entries.get((i, j), 0) + other.entries.get((i, j), 0)
-                for k in range(i + 1, j):
-                    a = self.entries.get((i, k), 0)
-                    b = other.entries.get((k, j), 0)
-                    if a and b:
-                        total += a * b
-                if total:
-                    out[(i, j)] = total
-        return UniMatrix(self.size, self.ring, out)
-
-    def equal_ignoring_corner(self, other: "UniMatrix") -> bool:
-        """Equality in the quotient that forgets the (1, size) entry."""
-        if self.size != other.size or self.ring != other.ring:
-            return False
-        corner = (1, self.size)
-        a = {k: v for k, v in self.entries.items() if k != corner}
-        b = {k: v for k, v in other.entries.items() if k != corner}
-        return a == b
-
     def rows(self) -> list[list[int]]:
         """The full square matrix, diagonal included."""
         one = ring_reduce(1, self.ring)
@@ -136,16 +112,6 @@ class UniMatrix:
         return f"<UniMatrix size {self.size} over {self.ring}, {self.entries}>"
 
 
-def _phi_from_series(w: Monomial, series: TruncSeries) -> UniMatrix:
-    d = len(w)
-    entries = {
-        (i, j): series.coeffs.get(w[i - 1:j - 1], 0)
-        for i in range(1, d + 1)
-        for j in range(i + 1, d + 2)
-    }
-    return UniMatrix(d + 1, series.ring, entries)
-
-
 def phi(w: Monomial, g: GroupWord, ring: RingSpec) -> UniMatrix:
     """The unipotent image of g attached to the monomial w = w1...wd.
 
@@ -156,7 +122,13 @@ def phi(w: Monomial, g: GroupWord, ring: RingSpec) -> UniMatrix:
     w = tuple(w)
     if not w:
         raise ValueError("w must be a nonempty monomial")
-    return _phi_from_series(w, magnus(g, ring, len(w)))
+    d = len(w)
+    coeffs = magnus(g, ring, d).coeffs
+    return UniMatrix(d + 1, ring, {
+        (i, j): coeffs.get(w[i - 1:j - 1], 0)
+        for i in range(1, d + 1)
+        for j in range(i + 1, d + 2)
+    })
 
 
 @dataclass(frozen=True)
@@ -203,27 +175,102 @@ def member_series(g: GroupWord, spec: FiltrationSpec) -> bool:
     return series_witness(g, spec) is None
 
 
+def _binomials(e: int, cap: int) -> list[int]:
+    """binom(e, j) for j = 1..cap, with binom(-k, j) = (-1)^j binom(k+j-1, j)."""
+    if e >= 0:
+        return [comb(e, j) for j in range(1, cap + 1)]
+    return [comb(j - e - 1, j) if j % 2 == 0 else -comb(j - e - 1, j)
+            for j in range(1, cap + 1)]
+
+
+def _top_rows(g: GroupWord, modulus: int, cap: int) -> list[list[int]]:
+    """The top-right entry of the image of g attached to every word u of
+    length m <= cap, as rows[m][code(u)], over Z/modulus (Z when 0).
+
+    code(u) is u read in base k, first letter most significant, so each row
+    lists its words in lexicographic order.  The entries of u's top row are
+    the rows' values at the prefixes of u, so the rows hold the top row of
+    every word at once.  A run x_i^e multiplies each top row by its image,
+    which has binom(e, b - a) at (a, b) when u[a..b-1] is all i: the entry
+    at u gains binom(e, j) times the entry at u less its last j letters
+    whenever those letters are all i.  Lengths are updated from the longest
+    down, so every update reads the shorter rows before the run.  At cap 1
+    a run only adds e at its own letter.
+    """
+    k = g.alphabet_size
+    if cap == 1:
+        sums = [0] * k
+        for i, e in g.runs:
+            sums[i - 1] += e
+        return [[1], [s % modulus for s in sums] if modulus else sums]
+    rows = [[1]] + [[0] * k ** m for m in range(1, cap + 1)]
+    for i, e in g.runs:
+        # (j, code of i^j, k^j, binom(e, j)) for the nonzero binomials
+        terms = []
+        tail = 0
+        for j, c in enumerate(_binomials(e, cap), 1):
+            tail = tail * k + i - 1
+            if modulus:
+                c %= modulus
+            if c:
+                terms.append((j, tail, k ** j, c))
+        for m in range(cap, 0, -1):
+            dst = rows[m]
+            for j, tail, step, c in terms:
+                if j > m:
+                    break
+                # the words of length m ending in i^j, in the order of their
+                # prefixes of length m - j
+                old = dst[tail::step]
+                if modulus:
+                    dst[tail::step] = [(x + c * y) % modulus for x, y in zip(old, rows[m - j])]
+                else:
+                    dst[tail::step] = [x + c * y for x, y in zip(old, rows[m - j])]
+    return rows
+
+
 def kernel_witness(g: GroupWord, spec: FiltrationSpec):
     """Failing (degree, monomial, entry) on the kernel route, or None.
 
-    Words of each length d < n are scanned lazily in lexicographic order and
-    the scan stops at the first non-identity image.  A length d with
-    e(n, d) = 1 is skipped: over the zero ring Z/1 every matrix is the
-    identity.  The expansion over Z/e(n,d) is shared by all words of length
-    d, but each matrix is built and tested as a matrix.
+    The image of g attached to a word w of length d is the product of the
+    images of its runs: x_i^e goes to the unipotent matrix with binom(e, b-a)
+    at (a, b) when w[a..b-1] is all i.  A degree d with e(n, d) = 1 is
+    skipped: over the zero ring Z/1 every matrix is the identity.  Degree 1
+    is read first, from the exponent sums.  Only if it passes does one pass
+    over the runs build the top rows of every word up to the last degree
+    top < n with e(n, d) != 1 (`_top_rows`), over Z/L with L the lcm of
+    those e(n, d) with d >= 2 (Z if one is 0).  Entry (a, b) of w's matrix is
+    the top-right entry of the image attached to w[a..b-1].  Words of each
+    length are then tested in lexicographic order as matrices over
+    Z/e(n, d), and the scan stops at the first non-identity image.  The
+    route never expands g as a series.
     """
     n = spec.level
     k = g.alphabet_size
-    for d in range(1, n):
-        modulus = spec.emap.evaluate(n, d)
-        if modulus == 1:
-            continue
-        series = magnus(g, RingSpec(modulus), d)
-        for w in product(range(1, k + 1), repeat=d):
-            image = _phi_from_series(w, series)
+    first = spec.emap.evaluate(n, 1) if n > 1 else 1
+    if first != 1:
+        for i, s in enumerate(_top_rows(g, first, 1)[1], 1):
+            if s:
+                return (1, (i,), s)
+    moduli = {d: m for d in range(2, n) if (m := spec.emap.evaluate(n, d)) != 1}
+    if not moduli:
+        return None
+    rows = _top_rows(g, lcm(*moduli.values()), max(moduli))
+    for d, m in moduli.items():
+        ring = RingSpec(m)
+        for w in product(range(k), repeat=d):
+            # entry (a, b) is the top-right entry of the image attached to
+            # w[a..b-1], the last of the top row of the suffix w[a..]
+            entries = {}
+            for a in range(d):
+                code = 0
+                for b in range(a, d):
+                    code = code * k + w[b]
+                    entries[(a + 1, b + 2)] = rows[b - a + 1][code]
+            image = UniMatrix(d + 1, ring, entries)
             if not image.is_identity():
                 (i, j), v = min(image.entries.items())
-                return (d, w, v)
+                return (d, tuple(x + 1 for x in w), v)
     return None
 
 

@@ -8,7 +8,7 @@ to (1 + xi)^k = sum_j binom(k, j) xi^j in one step.
 
 from __future__ import annotations
 
-from .coeff import RingSpec, is_unit
+from .coeff import RingSpec
 from .words import GroupWord, Monomial, format_monomial
 
 
@@ -159,25 +159,6 @@ def coefficient(series: TruncSeries, w: Monomial) -> int:
                 f"monomial {w} uses letter {c} outside x1..x{series.alphabet_size}"
             )
     return series.coeffs.get(w, 0)
-
-
-def inverse(series: TruncSeries) -> "TruncSeries":
-    """Multiplicative inverse of a series with unit constant term.
-
-    Writes the input as c*(1 - beta) with beta of zero constant term, then
-    sums the geometric series 1 + beta + beta^2 + ... to the cap by Horner.
-    """
-    c0 = series.constant_term
-    ring = series.ring
-    if not is_unit(c0, ring):
-        raise ValueError(f"constant term {c0} is not a unit in {ring}")
-    cinv = c0 if ring.modulus == 0 else pow(c0, -1, ring.modulus)
-    one = TruncSeries.one(ring, series.alphabet_size, series.cap)
-    beta = one - series.scale(cinv)
-    acc = one
-    for _ in range(series.cap):
-        acc = one + beta * acc
-    return acc.scale(cinv)
 
 
 def magnus(g: GroupWord, ring: RingSpec, cap: int) -> TruncSeries:

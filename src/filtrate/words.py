@@ -16,8 +16,8 @@ from itertools import chain, product, repeat
 
 Monomial = tuple[int, ...]
 
-# The most runs a power w^k may have.  Larger powers are refused before they
-# are built: the parser would otherwise allocate them from a few characters.
+# The most runs a power, product or commutator may have.  Larger results are
+# refused: the parser would otherwise allocate them from a few characters.
 MAX_RUNS = 10**6
 
 
@@ -103,7 +103,9 @@ class GroupWord:
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         self._require_same_alphabet(other)
-        return GroupWord._from_runs(self.alphabet_size, _join(self.runs, other.runs))
+        runs = _join(self.runs, other.runs)
+        _check_runs("product", len(runs))
+        return GroupWord._from_runs(self.alphabet_size, runs)
 
     def inverse(self) -> "GroupWord":
         return GroupWord._from_runs(self.alphabet_size, _inverse(self.runs))
@@ -111,6 +113,11 @@ class GroupWord:
     def __pow__(self, k: int) -> "GroupWord":
         runs = self.runs if k >= 0 else _inverse(self.runs)
         return GroupWord._from_runs(self.alphabet_size, _power(runs, abs(k)))
+
+
+def _check_runs(what: str, count: int):
+    if count > MAX_RUNS:
+        raise ValueError(f"the {what} has {count} runs, over the limit of {MAX_RUNS}")
 
 
 def _inverse(runs: tuple) -> tuple:
@@ -148,9 +155,7 @@ def _power(runs: tuple, k: int) -> tuple:
     than MAX_RUNS runs is refused before anything is built.
     """
     if k > 1:
-        count = _power_run_count(runs, k)
-        if count > MAX_RUNS:
-            raise ValueError(f"the power has {count} runs, over the limit of {MAX_RUNS}")
+        _check_runs("power", _power_run_count(runs, k))
     result = ()
     while k:
         if k & 1:
@@ -162,10 +167,21 @@ def _power(runs: tuple, k: int) -> tuple:
 
 
 def commutator(a: GroupWord, b: GroupWord) -> GroupWord:
-    """[a, b] = a^-1 b^-1 a b."""
+    """[a, b] = a^-1 b^-1 a b, refused before it is built past MAX_RUNS.
+
+    [a, b] = (ba)^-1 ab, and joining (ba)^-1 to ab cancels only the runs
+    that ba and ab share at their heads, so the count needs no inverse.
+    """
     a._require_same_alphabet(b)
-    runs = _join(_join(_join(_inverse(a.runs), _inverse(b.runs)), a.runs), b.runs)
-    return GroupWord._from_runs(a.alphabet_size, runs)
+    ab, ba = _join(a.runs, b.runs), _join(b.runs, a.runs)
+    common = min(len(ab), len(ba))
+    shared = 0
+    while shared < common and ab[shared] == ba[shared]:
+        shared += 1
+    # the first runs that differ merge into one when their letters agree
+    merged = shared < common and ab[shared][0] == ba[shared][0]
+    _check_runs("commutator", len(ab) + len(ba) - 2 * shared - merged)
+    return GroupWord._from_runs(a.alphabet_size, _join(_inverse(ba[shared:]), ab[shared:]))
 
 
 def generator(alphabet_size: int, index: int) -> GroupWord:

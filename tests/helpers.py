@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial, gcd
 
 from filtrate.coeff import ZZ
 from filtrate.emap import ExplicitEMap, TrivialEMap
-from filtrate.filt import FiltrationSpec, member_series
+from filtrate.filt import FiltrationSpec, UniMatrix, member_series
 from filtrate.magnus import TruncSeries, coefficient, magnus
 from filtrate.words import GroupWord, basic_commutator, enumerate_monomials, lyndon_words, realize
 
@@ -113,6 +114,78 @@ def magnus_by_letters(letters, modulus: int, cap: int) -> dict:
     return acc
 
 
+def one_letter_expansion(g: GroupWord, cap: int) -> dict:
+    """Expansion over Z of a word on one letter, which is x1^N for some N.
+
+    (1 + x1)^N has N(N-1)...(N-j+1)/j! at x1^j, whatever the sign of N, so
+    a run of any length costs cap steps and no letter is flattened.
+    """
+    power = g.runs[0][1] if g.runs else 0
+    coeffs = {(): 1}
+    falling = 1
+    for j in range(1, cap + 1):
+        falling *= power - j + 1
+        c = Fraction(falling, factorial(j))
+        assert c.denominator == 1
+        if c:
+            coeffs[(1,) * j] = int(c)
+    return coeffs
+
+
+def is_unit(value: int, ring) -> bool:
+    """Whether value is invertible in Z (only +-1) or in Z/m (coprime to m)."""
+    if ring.modulus == 0:
+        return value in (1, -1)
+    return gcd(value, ring.modulus) == 1
+
+
+def series_inverse(series: TruncSeries) -> TruncSeries:
+    """Multiplicative inverse of a series with unit constant term.
+
+    Writes the input as c*(1 - beta) with beta of zero constant term, then
+    sums the geometric series 1 + beta + beta^2 + ... to the cap by Horner.
+    """
+    c0 = series.constant_term
+    ring = series.ring
+    if not is_unit(c0, ring):
+        raise ValueError(f"constant term {c0} is not a unit in {ring}")
+    cinv = c0 if ring.modulus == 0 else pow(c0, -1, ring.modulus)
+    one = TruncSeries.one(ring, series.alphabet_size, series.cap)
+    beta = one - series.scale(cinv)
+    acc = one
+    for _ in range(series.cap):
+        acc = one + beta * acc
+    return acc.scale(cinv)
+
+
+def unimatrix_identity(size: int, ring) -> UniMatrix:
+    return UniMatrix(size, ring)
+
+
+def unimatrix_product(a: UniMatrix, b: UniMatrix) -> UniMatrix:
+    """The matrix product, summed entry by entry from the definition."""
+    if a.size != b.size or a.ring != b.ring:
+        raise ValueError("mismatched size or ring")
+    out = {}
+    for i in range(1, a.size):
+        for j in range(i + 1, a.size + 1):
+            total = a.entries.get((i, j), 0) + b.entries.get((i, j), 0)
+            for k in range(i + 1, j):
+                total += a.entries.get((i, k), 0) * b.entries.get((k, j), 0)
+            if total:
+                out[(i, j)] = total
+    return UniMatrix(a.size, a.ring, out)
+
+
+def equal_ignoring_corner(a: UniMatrix, b: UniMatrix) -> bool:
+    """Equality in the quotient that forgets the (1, size) entry."""
+    if a.size != b.size or a.ring != b.ring:
+        return False
+    corner = (1, a.size)
+    return ({k: v for k, v in a.entries.items() if k != corner}
+            == {k: v for k, v in b.entries.items() if k != corner})
+
+
 def random_series(rng: random.Random, ring, alphabet_size: int, cap: int,
                   terms: int = 8, bound: int = 30) -> TruncSeries:
     coeffs = {}
@@ -156,8 +229,6 @@ def decompose_in_ideal(s: TruncSeries, e, n: int):
     degree-i part must be g_i * (integer polynomial); zero g_i forces a zero
     part.  Returns the reassembled series (equal to s on success) or None.
     """
-    from math import gcd
-
     if s.coeffs.get((), 0):
         return None
     gs = []
@@ -196,11 +267,13 @@ def membership_witnesses(g: GroupWord, e, n: int) -> tuple:
     at its least nonzero (i, j).
     """
     from itertools import product
-    from math import gcd
 
     if n == 1:
         return None, None
-    coeffs = magnus_by_letters(g.letters, 0, n - 1)
+    if g.alphabet_size == 1:
+        coeffs = one_letter_expansion(g, n - 1)
+    else:
+        coeffs = magnus_by_letters(g.letters, 0, n - 1)
     series = None
     divisor = 0
     for d in range(1, n):

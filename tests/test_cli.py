@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
 import filtrate.cli as cli
+from filtrate import filt
+from filtrate.magnus import magnus
 from filtrate.massey import MAX_CELLS
 from filtrate.words import (
     MAX_RUNS,
+    GroupWord,
     basic_commutator,
     enumerate_monomials,
     format_monomial,
@@ -324,6 +330,44 @@ def test_route_disagreement_exits_four(monkeypatch, capsys):
     assert err["kernels_witness"] == {"degree": 1, "word": "x1", "coefficient": "1"}
 
 
+def _magnus_with_a_wrong_negative_binomial(g, ring, cap):
+    """magnus with binom(-k, j) taken as (-1)^j binom(k+j, j), one too many
+    in the top argument: the same as expanding x_i^(e-1) for each run x_i^e
+    with e < 0."""
+    runs = tuple((i, e - 1 if e < 0 else e) for i, e in g.runs)
+    return magnus(GroupWord._from_runs(g.alphabet_size, runs), ring, cap)
+
+
+def test_a_broken_magnus_makes_the_routes_disagree(monkeypatch, tmp_path, capsys):
+    # the kernel route expands nothing, so a bug in magnus reaches only the
+    # series route and the integrity check fires
+    monkeypatch.setattr(filt, "magnus", _magnus_with_a_wrong_negative_binomial)
+    argv = ["member", "--word", "[x1,x2]", "--emap", "trivial", "--level", "2",
+            "--alphabet", "2", "--route", "both"]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 4 and captured.err == ""
+    assert captured.out.count("\n") == 1
+    error = json.loads(captured.out)["error"]
+    assert error["kind"] == "integrity"
+    assert error["series_member"] is False and error["kernels_member"] is True
+    assert error["series_witness"] == {"degree": 1, "word": "x1", "coefficient": "-1"}
+    assert error["kernels_witness"] is None
+    jobs = tmp_path / "jobs.json"
+    jobs.write_text(json.dumps([
+        {"command": "member", "parameters": {
+            "word": "[x1,x2]", "emap": "trivial", "level": 2, "alphabet": 2}},
+        {"command": "member", "parameters": {
+            "word": "x1*x2", "emap": "trivial", "level": 2, "alphabet": 2}},
+    ]))
+    code = cli.main(["batch", "--jobs", str(jobs)])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out.count("\n") == 1
+    report = json.loads(captured.out)
+    assert [job["exit"] for job in report["jobs"]] == [4, 0]
+    assert report["jobs"][0]["report"]["error"] == error
+
+
 def test_batch_mixed_jobs(tmp_path, capsys):
     out_path = tmp_path / "magnus.json"
     jobs = [
@@ -440,6 +484,27 @@ def test_oversized_power_exits_three_at_once(capsys):
     error = json.loads(captured.out)["error"]
     assert error == {"kind": "precondition",
                      "message": f"the power has 2000000 runs, over the limit of {MAX_RUNS}"}
+    assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("word, message", [
+    ("[[(x1*x2)^400000,x2],x2]", "the commutator has 1600001 runs"),
+    ("(x1*x2)^400000*(x1^-1*x2)^400000", "the product has 1600000 runs"),
+])
+def test_oversized_products_and_commutators_exit_three(word, message):
+    # a child process, so the time and memory are those of a fresh command
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", "from filtrate.cli import run; run()", "magnus", "--word", word,
+         "--ring", "Z", "--cap", "1", "--alphabet", "2"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3 and proc.stderr == ""
+    assert proc.stdout.count("\n") == 1
+    error = json.loads(proc.stdout)["error"]
+    assert error == {"kind": "precondition", "message": f"{message}, over the limit of {MAX_RUNS}"}
     assert elapsed < 0.5
 
 

@@ -3,9 +3,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from filtrate.coeff import RingSpec, ZZ, divisible, integer_rank, is_unit, parse_ring, reduce
+from filtrate.coeff import RingSpec, ZZ, divisible, integer_rank, parse_ring, reduce
 
-from helpers import rational_rank
+from helpers import is_unit, rational_rank
 
 
 def test_ring_spec_validation():

@@ -1,5 +1,6 @@
 import random
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,7 +30,14 @@ from filtrate.filt import (
 from filtrate.magnus import TruncSeries, coefficient, magnus
 from filtrate.words import GroupWord, commutator, enumerate_monomials, generator, parse_word
 
-from helpers import membership_witnesses, random_descending_table, random_reduced_word
+from helpers import (
+    equal_ignoring_corner,
+    membership_witnesses,
+    random_descending_table,
+    random_reduced_word,
+    unimatrix_identity,
+    unimatrix_product,
+)
 
 
 def test_unimatrix_construction_and_entry():
@@ -50,18 +58,18 @@ def test_unimatrix_construction_and_entry():
 
 
 def test_unimatrix_identity_and_product():
-    i3 = UniMatrix.identity(3, ZZ)
+    i3 = unimatrix_identity(3, ZZ)
     assert i3.is_identity()
     a = UniMatrix(3, ZZ, {(1, 2): 2, (2, 3): 3})
     b = UniMatrix(3, ZZ, {(1, 2): 5, (2, 3): 7, (1, 3): 1})
-    ab = a * b
+    ab = unimatrix_product(a, b)
     # (1,3) picks up the shear product 2*7 on top of the sums
     assert ab.entries == {(1, 2): 7, (2, 3): 10, (1, 3): 15}
-    assert a * i3 == a == i3 * a
+    assert unimatrix_product(a, i3) == a == unimatrix_product(i3, a)
     with pytest.raises(ValueError):
-        a * UniMatrix(4, ZZ)
+        unimatrix_product(a, UniMatrix(4, ZZ))
     with pytest.raises(ValueError):
-        a * UniMatrix(3, RingSpec(5))
+        unimatrix_product(a, UniMatrix(3, RingSpec(5)))
 
 
 def test_unimatrix_product_associative():
@@ -75,16 +83,17 @@ def test_unimatrix_product_associative():
                 for i in range(1, size) for j in range(i + 1, size + 1)
             })
         a, b, c = rand(), rand(), rand()
-        assert (a * b) * c == a * (b * c)
+        assert unimatrix_product(unimatrix_product(a, b), c) == \
+            unimatrix_product(a, unimatrix_product(b, c))
 
 
 def test_unimatrix_rows_and_corner_quotient():
     m = UniMatrix(3, ZZ, {(1, 3): 9, (1, 2): 1})
     assert m.rows() == [[1, 1, 9], [0, 1, 0], [0, 0, 1]]
     other = UniMatrix(3, ZZ, {(1, 3): -2, (1, 2): 1})
-    assert m.equal_ignoring_corner(other)
-    assert not m.equal_ignoring_corner(UniMatrix(3, ZZ, {(1, 2): 2, (1, 3): 9}))
-    assert not m.equal_ignoring_corner(UniMatrix(4, ZZ))
+    assert equal_ignoring_corner(m, other)
+    assert not equal_ignoring_corner(m, UniMatrix(3, ZZ, {(1, 2): 2, (1, 3): 9}))
+    assert not equal_ignoring_corner(m, UniMatrix(4, ZZ))
 
 
 def test_phi_frozen_examples():
@@ -126,9 +135,9 @@ def test_phi_is_a_homomorphism():
         d = rng.randint(1, 3)
         w = tuple(rng.randint(1, k) for _ in range(d))
         ring = rng.choice((ZZ, RingSpec(4), RingSpec(5)))
-        assert phi(w, g * h, ring) == phi(w, g, ring) * phi(w, h, ring)
+        assert phi(w, g * h, ring) == unimatrix_product(phi(w, g, ring), phi(w, h, ring))
     g = parse_word("x1*x2^-1", 2)
-    assert (phi((1, 2), g, ZZ) * phi((1, 2), g.inverse(), ZZ)).is_identity()
+    assert unimatrix_product(phi((1, 2), g, ZZ), phi((1, 2), g.inverse(), ZZ)).is_identity()
     assert phi((1, 2, 1), GroupWord(2), ZZ).is_identity()
 
 
@@ -377,10 +386,10 @@ def test_members_act_trivially_off_the_corner():
     # top-right entry, which is the only place degree-n information survives
     budget = SampleBudget(count=15, max_factor_length=3)
     for n in (2, 3):
-        identity = UniMatrix.identity(n + 1, ZZ)
+        identity = unimatrix_identity(n + 1, ZZ)
         for g in product_sampler(TrivialEMap(), n, 2, budget, seed=69 + n):
             for w in enumerate_monomials(2, n):
-                assert phi(w, g, ZZ).equal_ignoring_corner(identity), (n, w, g)
+                assert equal_ignoring_corner(phi(w, g, ZZ), identity), (n, w, g)
 
 
 def _witness_pool(rng, e, level, k):
@@ -404,6 +413,11 @@ def test_routes_match_the_full_expansion_oracle():
     # multiplier 1 leaves degrees whose divisor is 1 below the diagonal
     cases += [(random_descending_table(rng, 5, multipliers=(0, 1, 1, 2, 3)), level)
               for level in (3, 4, 5) for _ in range(4)]
+    # moduli mixing 2 and 3, whose lcm the kernel route works over
+    cases += [(SequenceGcdEMap((2, 3, 2, 3, 2, 3)), level) for level in (3, 5, 6, 7)]
+    # e(n, d) = 0 next to nonzero moduli: the kernel route works over Z
+    zeros = ExplicitEMap({1: (1,), 2: (0, 1), 3: (0, 2, 1), 4: (0, 0, 2, 1), 5: (0, 0, 6, 2, 1)})
+    cases += [(zeros, level) for level in (3, 4, 5)]
     seen = {"degree 1": 0, "higher": 0, "member": 0}
     for e, level in cases:
         spec = FiltrationSpec(e, level)
@@ -418,35 +432,84 @@ def test_routes_match_the_full_expansion_oracle():
             assert kernel_witness(g, spec) == kernel, (g, e, level)
             seen["member" if series is None else "degree 1" if series[0] == 1 else "higher"] += 1
     assert min(seen.values()) >= 30, seen
+    # one letter: x1^N is one run, however large N
+    big = 10**7
+    mixed = ExplicitEMap({1: (1,), 2: (2, 1), 3: (6, 2, 1), 4: (12, 6, 2, 1), 5: (48, 12, 6, 2, 1)})
+    degrees = set()
+    for e, level in [(ZassenhausEMap(2, 1), 5), (ZassenhausEMap(5, 1), 4), (zeros, 5), (mixed, 5),
+                     (ConstantEMap(6), 4), (TrivialEMap(), 3), (SequenceGcdEMap((2, 3, 2, 3, 2, 3)), 7)]:
+        spec = FiltrationSpec(e, level)
+        first = e.evaluate(level, 1)
+        multiple = big // first * first if first else 0
+        for power in (big, -big, big + 1, 2**23, -(2**23), 5**10, 6**9, -(6**9), multiple, -multiple):
+            g = parse_word(f"x1^{power}", 1)
+            series, kernel = membership_witnesses(g, e, level)
+            assert series_witness(g, spec) == series, (power, e, level)
+            assert kernel_witness(g, spec) == kernel, (power, e, level)
+            degrees.add(None if kernel is None else kernel[0])
+    assert degrees == {None, 1, 3}, degrees
+
+
+def test_kernel_route_reads_rows_that_are_not_chains():
+    # the route reads e(n, d) alone, so a row whose moduli 4 and 6 are not a
+    # chain has it work over their lcm 12, above each of them; e(4, 1) = 2
+    # leaves exponent sums that are nonzero mod 4
+    e = ExplicitEMap({4: (2, 4, 6, 1)})
+    spec = SimpleNamespace(emap=e, level=4)
+    rng = random.Random(58)
+    pool = [random_reduced_word(rng, 2, 10) ** power for power in (2, 12) for _ in range(20)]
+    pool += [commutator(random_reduced_word(rng, 2, 4), random_reduced_word(rng, 2, 4)) ** power
+             for power in (1, 12) for _ in range(20)]
+    seen = set()
+    for g in pool:
+        _, kernel = membership_witnesses(g, e, 4)
+        assert kernel_witness(g, spec) == kernel, g
+        seen.add(None if kernel is None else kernel[0])
+    assert seen == {None, 2, 3}, seen
 
 
 def test_expansions_stop_at_the_degrees_that_can_decide(monkeypatch):
     calls = []
-    expand = filt.magnus
+    tables = []
+    expand, top_rows = filt.magnus, filt._top_rows
 
     def recording(g, ring, cap):
         calls.append((ring, cap))
         return expand(g, ring, cap)
 
+    def recording_rows(g, modulus, cap):
+        tables.append((modulus, cap))
+        return top_rows(g, modulus, cap)
+
     monkeypatch.setattr(filt, "magnus", recording)
-    # a degree-1 failure is read from a cap-1 expansion alone
-    assert series_witness(parse_word("x1*x2^2", 2), FiltrationSpec(ZassenhausEMap(2, 1), 5)) == (
-        1, (1,), 1)
+    monkeypatch.setattr(filt, "_top_rows", recording_rows)
+    # a degree-1 failure is read from a cap-1 expansion, or the exponent sums,
+    # alone
+    g = parse_word("x1*x2^2", 2)
+    spec = FiltrationSpec(ZassenhausEMap(2, 1), 5)
+    assert series_witness(g, spec) == kernel_witness(g, spec) == (1, (1,), 1)
     assert calls == [(ZZ, 1)]
+    assert tables == [(8, 1)]
     e = SequenceGcdEMap((3, 3, 2, 2, 2, 2))
     assert e.row(7) == (144, 24, 4, 2, 1, 1, 1)
     spec = FiltrationSpec(e, 7)
     budget = SampleBudget(count=2, max_factor_length=2)
     for g in [parse_word("x1^144", 2)] + sample_recursive(AFiltration(e.seq), 7, 2, budget, seed=3):
         calls.clear()
+        tables.clear()
         assert series_witness(g, spec) is None
         assert calls == [(ZZ, 1), (ZZ, 4)]
+        assert tables == []
         calls.clear()
         assert kernel_witness(g, spec) is None
-        assert calls == [(RingSpec(144), 1), (RingSpec(24), 2), (RingSpec(4), 3), (RingSpec(2), 4)]
+        # the kernel route expands nothing: one table at cap 1, one up to
+        # degree 4 over the lcm of e(7, 2..4)
+        assert calls == []
+        assert tables == [(144, 1), (24, 4)]
     # a table with every divisor 1 constrains nothing
     calls.clear()
+    tables.clear()
     spec = FiltrationSpec(ConstantEMap(1), 5)
     g = parse_word("x1*x2", 2)
     assert series_witness(g, spec) is None and kernel_witness(g, spec) is None
-    assert calls == []
+    assert calls == [] and tables == []

@@ -21,6 +21,7 @@ from filtrate.words import (
     parse_word,
     realize,
 )
+from filtrate import words as words_module
 from filtrate.words import _power, _power_run_count
 
 from helpers import brute_lyndon, necklace_by_mobius, random_reduced_word
@@ -106,6 +107,23 @@ def test_oversized_powers_are_refused_before_they_are_built():
     w = parse_word("(x1*x2*x1^-1)^1000000000", 2)
     assert w.runs == ((1, 1), (2, 1_000_000_000), (1, -1))
     assert parse_word("x1^10000000", 1).runs == ((1, 10_000_000),)
+
+
+@given(words(), words())
+def test_product_and_commutator_limits_count_the_reduced_result(a, b):
+    # the limit is checked against the exact run count, so a result of
+    # exactly MAX_RUNS runs passes and one run fewer allowed refuses it
+    inverse = [-s for s in reversed(a.letters)] + [-s for s in reversed(b.letters)]
+    for name, build, expected in (
+        ("product", lambda: a * b, GroupWord(3, a.letters + b.letters)),
+        ("commutator", lambda: commutator(a, b), GroupWord(3, inverse + list(a.letters + b.letters))),
+    ):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(words_module, "MAX_RUNS", len(expected.runs))
+            assert build() == expected
+            patch.setattr(words_module, "MAX_RUNS", len(expected.runs) - 1)
+            with pytest.raises(ValueError, match=f"the {name} has {len(expected.runs)} runs"):
+                build()
 
 
 def test_alphabet_mismatch_is_an_error():
