@@ -227,10 +227,12 @@ def _cmd_massey(args) -> tuple[int, dict]:
         "cols": len(matrix.column_labels),
     }
     if args.emit_matrix:
+        # one shared str per distinct entry, not one per cell
+        text = {v: str(v) for v in set().union(*matrix.entries)}
         report["matrix"] = {
             "row_labels": [format_word(g) for g in matrix.row_labels],
             "column_labels": [format_monomial(w) for w in matrix.column_labels],
-            "entries": [[str(v) for v in row] for row in matrix.entries],
+            "entries": [list(map(text.__getitem__, row)) for row in matrix.entries],
         }
     return 0, report
 

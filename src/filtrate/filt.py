@@ -241,9 +241,10 @@ def kernel_witness(g: GroupWord, spec: FiltrationSpec):
     top < n with e(n, d) != 1 (`_top_rows`), over Z/L with L the lcm of
     those e(n, d) with d >= 2 (Z if one is 0).  Entry (a, b) of w's matrix is
     the top-right entry of the image attached to w[a..b-1].  Words of each
-    length are then tested in lexicographic order as matrices over
-    Z/e(n, d), and the scan stops at the first non-identity image.  The
-    route never expands g as a series.
+    length are then tested in lexicographic order, each entry read in place
+    and reduced mod e(n, d), and the scan stops at the first nonzero entry:
+    the least (a, b) of the first non-identity image.  The route never
+    expands g as a series.
     """
     n = spec.level
     k = g.alphabet_size
@@ -257,20 +258,19 @@ def kernel_witness(g: GroupWord, spec: FiltrationSpec):
         return None
     rows = _top_rows(g, lcm(*moduli.values()), max(moduli))
     for d, m in moduli.items():
-        ring = RingSpec(m)
         for w in product(range(k), repeat=d):
             # entry (a, b) is the top-right entry of the image attached to
-            # w[a..b-1], the last of the top row of the suffix w[a..]
-            entries = {}
+            # w[a..b-1], the last of the top row of the suffix w[a..]; the
+            # first nonzero one in (a, b) order is the witness
             for a in range(d):
                 code = 0
                 for b in range(a, d):
                     code = code * k + w[b]
-                    entries[(a + 1, b + 2)] = rows[b - a + 1][code]
-            image = UniMatrix(d + 1, ring, entries)
-            if not image.is_identity():
-                (i, j), v = min(image.entries.items())
-                return (d, tuple(x + 1 for x in w), v)
+                    v = rows[b - a + 1][code]
+                    if m:
+                        v %= m
+                    if v:
+                        return (d, tuple(x + 1 for x in w), v)
     return None
 
 
@@ -394,10 +394,12 @@ def product_sampler(
 ) -> list[GroupWord]:
     """Random products of e(n, i)-th powers of realized basic commutators.
 
-    Each factor picks a weight i <= n with e(n, i) != 0 (weight n always
-    qualifies since e(n, n) = 1), realizes a random Lyndon bracketing of that
-    weight, and raises it to e(n, i).  Outputs lie in the level-n product
-    subgroup by construction.  Deterministic for a fixed seed.
+    Each factor picks a weight i <= n with e(n, i) != 0 that has Lyndon
+    words, realizes a random Lyndon bracketing of that weight, and raises it
+    to e(n, i).  On one letter only weight 1 has a Lyndon word, so when
+    e(n, 1) = 0 no weight is left and every sample is the empty word.
+    Outputs lie in the level-n product subgroup by construction.
+    Deterministic for a fixed seed.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
@@ -405,8 +407,11 @@ def product_sampler(
     pools = {
         i: list(lyndon_words(alphabet_size, i))
         for i in range(1, level + 1)
+        if e.evaluate(level, i) != 0
     }
-    weights = [i for i in range(1, level + 1) if e.evaluate(level, i) != 0]
+    weights = [i for i, pool in pools.items() if pool]
+    if not weights:
+        return [GroupWord(alphabet_size)] * budget.count
     out = []
     for _ in range(budget.count):
         w = GroupWord(alphabet_size)

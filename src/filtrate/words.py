@@ -20,6 +20,9 @@ Monomial = tuple[int, ...]
 # refused: the parser would otherwise allocate them from a few characters.
 MAX_RUNS = 10**6
 
+# The deepest that brackets and parentheses may nest in a parsed word.
+MAX_NESTING = 1000
+
 
 class WordSyntaxError(ValueError):
     """Malformed word expression; position is a 0-based offset into the text."""
@@ -195,96 +198,6 @@ def format_word(w: GroupWord) -> str:
     return "*".join(f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in w.runs)
 
 
-class _WordParser:
-    def __init__(self, text: str, alphabet_size: int):
-        self.text = text
-        self.pos = 0
-        self.alphabet_size = alphabet_size
-
-    def error(self, message: str):
-        raise WordSyntaxError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take_int(self) -> int:
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        if not self.peek().isdigit():
-            self.pos = start
-            self.error("expected an integer")
-        while self.peek().isdigit():
-            self.pos += 1
-        return int(self.text[start:self.pos])
-
-    def parse_word(self) -> GroupWord:
-        w = self.parse_term()
-        while True:
-            self.skip_ws()
-            if self.peek() == "*":
-                self.pos += 1
-                w = w * self.parse_term()
-            else:
-                return w
-
-    def parse_term(self) -> GroupWord:
-        atom = self.parse_atom()
-        self.skip_ws()
-        if self.peek() == "^":
-            self.pos += 1
-            self.skip_ws()
-            return atom ** self.take_int()
-        return atom
-
-    def parse_atom(self) -> GroupWord:
-        self.skip_ws()
-        ch = self.peek()
-        if ch == "x":
-            self.pos += 1
-            start = self.pos
-            if not self.peek().isdigit():
-                self.error("expected a generator index after 'x'")
-            while self.peek().isdigit():
-                self.pos += 1
-            index = int(self.text[start:self.pos])
-            if not 1 <= index <= self.alphabet_size:
-                self.pos = start
-                self.error(
-                    f"generator x{index} outside alphabet of size {self.alphabet_size}"
-                )
-            return GroupWord(self.alphabet_size, (index,))
-        if ch == "e":
-            self.pos += 1
-            return GroupWord(self.alphabet_size)
-        if ch == "[":
-            self.pos += 1
-            left = self.parse_word()
-            self.skip_ws()
-            if self.peek() != ",":
-                self.error("expected ',' in commutator")
-            self.pos += 1
-            right = self.parse_word()
-            self.skip_ws()
-            if self.peek() != "]":
-                self.error("expected ']'")
-            self.pos += 1
-            return commutator(left, right)
-        if ch == "(":
-            self.pos += 1
-            w = self.parse_word()
-            self.skip_ws()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.pos += 1
-            return w
-        self.error("expected a generator, 'e', '[' or '('")
-
-
 def parse_word(text: str, alphabet_size: int) -> GroupWord:
     """Parse a word expression over x1..x<alphabet_size>.
 
@@ -295,20 +208,86 @@ def parse_word(text: str, alphabet_size: int) -> GroupWord:
         generator := "x" positive-int
 
     Whitespace is insignificant.  "e" is the empty word and "[a,b]" is the
-    commutator a^-1 b^-1 a b.  Raises WordSyntaxError with the offending
-    position on malformed input, out-of-range generator indices, or brackets
-    nested deeper than the interpreter's recursion limit allows.
+    commutator a^-1 b^-1 a b.  One pass reads the text, keeping the open
+    brackets on a list, so the depth it accepts does not depend on the
+    caller's stack.  Raises WordSyntaxError with the offending position on
+    malformed input, on out-of-range generator indices, and at a bracket
+    nested more than MAX_NESTING deep; a power, product or commutator of
+    more than MAX_RUNS runs raises ValueError as soon as it is read.
     """
-    parser = _WordParser(text, alphabet_size)
-    parser.skip_ws()
-    try:
-        w = parser.parse_word()
-    except RecursionError:
-        raise WordSyntaxError("brackets nested too deeply", parser.pos) from None
-    parser.skip_ws()
-    if parser.pos != len(text):
-        parser.error("unexpected character")
-    return w
+    end = len(text)
+
+    def skip(pos: int, chars) -> int:
+        while pos < end and chars(text[pos]):
+            pos += 1
+        return pos
+
+    # open brackets, innermost last: [bracket, product read before it, left
+    # word of a commutator once its ',' is read]
+    stack = []
+    product = None  # the product read so far inside the innermost bracket
+    pos = 0
+    while True:
+        pos = skip(pos, str.isspace)
+        ch = text[pos:pos + 1]
+        if ch in ("(", "["):
+            if len(stack) == MAX_NESTING:
+                raise WordSyntaxError("brackets nested too deeply", pos)
+            stack.append([ch, product, None])
+            product = None
+            pos += 1
+            continue
+        if ch == "x":
+            start = pos + 1
+            pos = skip(start, str.isdigit)
+            if pos == start:
+                raise WordSyntaxError("expected a generator index after 'x'", start)
+            index = int(text[start:pos])
+            if not 1 <= index <= alphabet_size:
+                raise WordSyntaxError(
+                    f"generator x{index} outside alphabet of size {alphabet_size}", start
+                )
+            atom = GroupWord(alphabet_size, (index,))
+        elif ch == "e":
+            pos += 1
+            atom = GroupWord(alphabet_size)
+        else:
+            raise WordSyntaxError("expected a generator, 'e', '[' or '('", pos)
+        # each pass ends a term; a term that ends its word closes a bracket,
+        # whose value is the next atom
+        while True:
+            pos = skip(pos, str.isspace)
+            if text.startswith("^", pos):
+                start = skip(pos + 1, str.isspace)
+                digits = start + text.startswith("-", start)
+                pos = skip(digits, str.isdigit)
+                if pos == digits:
+                    raise WordSyntaxError("expected an integer", start)
+                atom = atom ** int(text[start:pos])
+                pos = skip(pos, str.isspace)
+            product = atom if product is None else product * atom
+            if text.startswith("*", pos):
+                pos += 1
+                break
+            if not stack:
+                if pos != end:
+                    raise WordSyntaxError("unexpected character", pos)
+                return product
+            bracket, outer, left = stack[-1]
+            if bracket == "[" and left is None:
+                if not text.startswith(",", pos):
+                    raise WordSyntaxError("expected ',' in commutator", pos)
+                stack[-1][2] = product
+                product = None
+                pos += 1
+                break
+            closer = ")" if bracket == "(" else "]"
+            if not text.startswith(closer, pos):
+                raise WordSyntaxError(f"expected '{closer}'", pos)
+            pos += 1
+            stack.pop()
+            atom = product if bracket == "(" else commutator(left, product)
+            product = outer
 
 
 def random_word(alphabet_size: int, max_length: int, rng: random.Random) -> GroupWord:

@@ -149,6 +149,22 @@ def test_sample_frozen_and_byte_deterministic(capsys, scheme, level, words):
     assert raw1 == raw2
 
 
+@pytest.mark.parametrize("scheme", ["product:trivial", "product:const:2"])
+def test_product_sampler_on_one_letter(capsys, scheme):
+    # only weight 1 has a Lyndon word on one letter
+    code, report, raw = run(capsys, [
+        "sample", "--scheme", scheme, "--level", "3", "--alphabet", "1", "--count", "4",
+    ])
+    assert code == 0 and raw.count("\n") == 1
+    assert len(report["words"]) == 4
+    for word in report["words"]:
+        code, verdict, _ = run(capsys, [
+            "member", "--word", word, "--emap", scheme.removeprefix("product:"),
+            "--level", "3", "--alphabet", "1", "--route", "both",
+        ])
+        assert code == 0 and verdict["member"] is True
+
+
 @pytest.mark.parametrize("scheme", ["zass:2", "afilt:", "afilt:2,x", "zass:4,1", "bogus:1", "zass"])
 def test_bad_scheme_specs_are_parse_errors(capsys, scheme):
     code, report, _ = run(capsys, [

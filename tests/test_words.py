@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from filtrate.words import (
+    MAX_NESTING,
     MAX_RUNS,
     BasicCommutator,
     GroupWord,
@@ -174,6 +175,79 @@ def test_deep_nesting_is_a_syntax_error():
         with pytest.raises(WordSyntaxError, match="nested too deeply") as info:
             parse_word(text, 1)
         assert 0 < info.value.position < len(text)
+
+
+def _nested(depth, probe):
+    """Parse at `depth` levels of call stack, to show the limit ignores it."""
+    if depth:
+        return _nested(depth - 1, probe)
+    return probe()
+
+
+@pytest.mark.parametrize("opener, closer, value", [
+    ("(", ")", GroupWord(1, (1,))),
+    ("[x1,", "]", GroupWord(1)),
+])
+def test_nesting_limit_is_fixed(opener, closer, value):
+    deepest = opener * MAX_NESTING + "x1" + closer * MAX_NESTING
+    assert _nested(800, lambda: parse_word(deepest, 1)) == value
+    over = opener * (MAX_NESTING + 1) + "x1" + closer * (MAX_NESTING + 1)
+    with pytest.raises(WordSyntaxError, match="nested too deeply") as info:
+        _nested(800, lambda: parse_word(over, 1))
+    assert info.value.position == len(opener) * MAX_NESTING
+
+
+GAPS = st.sampled_from(["", "", " ", "\t", " \n "])
+
+
+@st.composite
+def expressions(draw, depth=3):
+    """(text, value) of a word drawn from the grammar over x1..x3.
+
+    The text puts random whitespace between tokens; the value is built from
+    the same draws with *, ** and commutator.
+    """
+    terms, value = [], None
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from("xe[(" if depth else "xe"))
+        if kind == "x":
+            i = draw(st.integers(1, 3))
+            text, atom = f"x{i}", generator(3, i)
+        elif kind == "e":
+            text, atom = "e", GroupWord(3)
+        elif kind == "[":
+            a, u = draw(expressions(depth - 1))
+            b, v = draw(expressions(depth - 1))
+            text, atom = f"[{a}{draw(GAPS)},{b}{draw(GAPS)}]", commutator(u, v)
+        else:
+            a, u = draw(expressions(depth - 1))
+            text, atom = f"({a}{draw(GAPS)})", u
+        if draw(st.booleans()):
+            k = draw(st.integers(-3, 3))
+            text, atom = f"{text}{draw(GAPS)}^{draw(GAPS)}{k}", atom ** k
+        terms.append(draw(GAPS) + text)
+        value = atom if value is None else value * atom
+    return f"{draw(GAPS)}*".join(terms) + draw(GAPS), value
+
+
+@given(expressions(), st.sampled_from(["delete", "insert", "truncate"]),
+       st.integers(0, 10**6), st.sampled_from("x13e[](),*^- \ty"))
+def test_parse_matches_the_grammar_and_fails_in_range(expression, edit, at, char):
+    text, value = expression
+    assert parse_word(text, 3) == value
+    at %= len(text) + 1
+    if edit == "delete":
+        text = text[:at] + text[at + 1:]
+    elif edit == "insert":
+        text = text[:at] + char + text[at:]
+    else:
+        text = text[:at]
+    try:
+        parse_word(text, 3)
+    except WordSyntaxError as err:
+        assert 0 <= err.position <= len(text)
+    except ValueError as err:
+        assert "over the limit" in str(err)
 
 
 def test_format_round_trip_counted():
