@@ -5,7 +5,7 @@ recursive and product samplers, and pairing-matrix ranks.  The `filtrate`
 console script exposes the same operations as JSON-emitting subcommands.
 """
 
-from .coeff import RingSpec, ZZ, divisible, integer_rank, parse_ring, reduce
+from .coeff import RingSpec, ZZ, divisible, integer_rank, parse_ring
 from .emap import (
     ConstantEMap,
     EMap,
@@ -25,7 +25,6 @@ from .filt import (
     FiltrationSpec,
     QZassenhaus,
     SampleBudget,
-    UniMatrix,
     member_kernels,
     member_series,
     phi,

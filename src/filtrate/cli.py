@@ -168,14 +168,14 @@ def _cmd_magnus(args) -> tuple[int, dict]:
 def _cmd_rep(args) -> tuple[int, dict]:
     word = parse_word(args.word, args.alphabet)
     monomial = parse_monomial(args.monomial, args.alphabet)
-    image = phi(monomial, word, args.ring)
+    rows = phi(monomial, word, args.ring)
     return 0, {
         "word": args.word,
         "alphabet": args.alphabet,
         "monomial": format_monomial(monomial),
         "ring": str(args.ring),
-        "size": image.size,
-        "matrix": [[str(v) for v in row] for row in image.rows()],
+        "size": len(rows),
+        "matrix": [[str(v) for v in row] for row in rows],
     }
 
 

@@ -47,13 +47,6 @@ def parse_ring(text: str) -> RingSpec:
     raise ValueError(f"bad ring spec {text!r}: expected \"Z\" or \"Z/<m>\"")
 
 
-def reduce(value: int, ring: RingSpec) -> int:
-    """Canonical image of an integer in the ring."""
-    if ring.modulus == 0:
-        return value
-    return value % ring.modulus
-
-
 def divisible(value: int, d: int) -> bool:
     """Whether value lies in d*Z.  0*Z = {0}, so d == 0 demands value == 0."""
     if d == 0:

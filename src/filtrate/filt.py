@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import comb, lcm
 
-from .coeff import RingSpec, ZZ, reduce as ring_reduce
+from .coeff import RingSpec, ZZ
 from .emap import (
     EMap,
     _is_prime,
@@ -41,6 +41,7 @@ from .emap import (
     ideal_member_witness,
 )
 from .magnus import TruncSeries, magnus
+from .massey import MAX_CELLS
 from .words import (
     GroupWord,
     Monomial,
@@ -52,83 +53,22 @@ from .words import (
 )
 
 
-class UniMatrix:
-    """Upper unitriangular matrix; only the entries above the diagonal are kept.
+def phi(w: Monomial, g: GroupWord, ring: RingSpec) -> list[list[int]]:
+    """The unipotent image of g attached to the monomial w = w1...wd, as its
+    d+1 rows of canonical ring elements.
 
-    Indices are 1-based.  Entries are canonical ring elements; zeros are not
-    stored, so the identity has an empty table.
-    """
-
-    __slots__ = ("size", "ring", "entries")
-
-    def __init__(self, size: int, ring: RingSpec, entries=None):
-        if size < 1:
-            raise ValueError(f"size must be >= 1, got {size}")
-        clean: dict[tuple[int, int], int] = {}
-        for (i, j), v in (entries or {}).items():
-            if not 1 <= i < j <= size:
-                raise ValueError(f"entry ({i}, {j}) not strictly above the diagonal")
-            v = ring_reduce(v, ring)
-            if v:
-                clean[(i, j)] = v
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "entries", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniMatrix is immutable")
-
-    def entry(self, i: int, j: int) -> int:
-        if not (1 <= i <= self.size and 1 <= j <= self.size):
-            raise ValueError(f"index ({i}, {j}) out of range for size {self.size}")
-        if i == j:
-            return ring_reduce(1, self.ring)
-        return self.entries.get((i, j), 0)
-
-    def is_identity(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UniMatrix)
-            and self.size == other.size
-            and self.ring == other.ring
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.size, self.ring, frozenset(self.entries.items())))
-
-    def rows(self) -> list[list[int]]:
-        """The full square matrix, diagonal included."""
-        one = ring_reduce(1, self.ring)
-        return [
-            [one if i == j else self.entries.get((i, j), 0) if i < j else 0
-             for j in range(1, self.size + 1)]
-            for i in range(1, self.size + 1)
-        ]
-
-    def __repr__(self) -> str:
-        return f"<UniMatrix size {self.size} over {self.ring}, {self.entries}>"
-
-
-def phi(w: Monomial, g: GroupWord, ring: RingSpec) -> UniMatrix:
-    """The unipotent image of g attached to the monomial w = w1...wd.
-
-    The (i, j) entry is the Magnus coefficient of g at the subword wi...w_{j-1},
-    so the matrix has size d+1 and the map is a homomorphism into the
-    unitriangular group over the ring.
+    Entry (i, j) with i <= j is the Magnus coefficient of g at the subword
+    wi...w_{j-1}; on the diagonal that subword is empty, so the entry is 1
+    in the ring (0 over Z/1).  The entries below the diagonal are 0.  The
+    map is a homomorphism into the unitriangular group over the ring.
     """
     w = tuple(w)
     if not w:
         raise ValueError("w must be a nonempty monomial")
-    d = len(w)
-    coeffs = magnus(g, ring, d).coeffs
-    return UniMatrix(d + 1, ring, {
-        (i, j): coeffs.get(w[i - 1:j - 1], 0)
-        for i in range(1, d + 1)
-        for j in range(i + 1, d + 2)
-    })
+    size = len(w) + 1
+    coeffs = magnus(g, ring, size - 1).coeffs
+    return [[coeffs.get(w[i:j], 0) if i <= j else 0 for j in range(size)]
+            for i in range(size)]
 
 
 @dataclass(frozen=True)
@@ -229,6 +169,22 @@ def _top_rows(g: GroupWord, modulus: int, cap: int) -> list[list[int]]:
     return rows
 
 
+def _check_cells(k: int, top: int) -> None:
+    """Refuse top rows of more than MAX_CELLS entries before any is built."""
+    # the rows hold k**m entries for each length m <= top; past these sizes
+    # the longest row alone is over the limit, so the sum is not computed
+    if k > MAX_CELLS or k > 1 and top > MAX_CELLS.bit_length():
+        cells = f"more than {MAX_CELLS}"
+    else:
+        cells = sum(k ** m for m in range(1, top + 1))
+        if cells <= MAX_CELLS:
+            return
+    raise ValueError(
+        f"the kernel route at alphabet {k}, degree {top} needs {cells} cells"
+        f" (alphabet^1 + ... + alphabet^{top}), over the limit of {MAX_CELLS}"
+    )
+
+
 def kernel_witness(g: GroupWord, spec: FiltrationSpec):
     """Failing (degree, monomial, entry) on the kernel route, or None.
 
@@ -239,12 +195,13 @@ def kernel_witness(g: GroupWord, spec: FiltrationSpec):
     is read first, from the exponent sums.  Only if it passes does one pass
     over the runs build the top rows of every word up to the last degree
     top < n with e(n, d) != 1 (`_top_rows`), over Z/L with L the lcm of
-    those e(n, d) with d >= 2 (Z if one is 0).  Entry (a, b) of w's matrix is
-    the top-right entry of the image attached to w[a..b-1].  Words of each
-    length are then tested in lexicographic order, each entry read in place
-    and reduced mod e(n, d), and the scan stops at the first nonzero entry:
-    the least (a, b) of the first non-identity image.  The route never
-    expands g as a series.
+    those e(n, d) with d >= 2 (Z if one is 0); rows of more than MAX_CELLS
+    entries in all raise ValueError before any is built.  Entry (a, b) of
+    w's matrix is the top-right entry of the image attached to w[a..b-1].
+    Words of each length are then tested in lexicographic order, each entry
+    read in place and reduced mod e(n, d), and the scan stops at the first
+    nonzero entry: the least (a, b) of the first non-identity image.  The
+    route never expands g as a series.
     """
     n = spec.level
     k = g.alphabet_size
@@ -256,7 +213,9 @@ def kernel_witness(g: GroupWord, spec: FiltrationSpec):
     moduli = {d: m for d in range(2, n) if (m := spec.emap.evaluate(n, d)) != 1}
     if not moduli:
         return None
-    rows = _top_rows(g, lcm(*moduli.values()), max(moduli))
+    top = max(moduli)
+    _check_cells(k, top)
+    rows = _top_rows(g, lcm(*moduli.values()), top)
     for d, m in moduli.items():
         for w in product(range(k), repeat=d):
             # entry (a, b) is the top-right entry of the image attached to

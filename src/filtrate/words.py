@@ -198,6 +198,26 @@ def format_word(w: GroupWord) -> str:
     return "*".join(f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in w.runs)
 
 
+def _read_int(text: str, start: int, missing: str, signed: bool = False) -> tuple[int, int]:
+    """The decimal integer written at text[start:] and the position after it.
+
+    Only the ASCII digits 0-9 count, after one optional '-' when signed.
+    Raises WordSyntaxError with the message `missing` at start when there
+    is no digit, and at the first digit when int() refuses the digits
+    (Python converts at most 4300 by default).
+    """
+    first = start + (signed and text.startswith("-", start))
+    pos = first
+    while pos < len(text) and text[pos] in "0123456789":
+        pos += 1
+    if pos == first:
+        raise WordSyntaxError(missing, start)
+    try:
+        return int(text[start:pos]), pos
+    except ValueError:
+        raise WordSyntaxError(f"integer of {pos - first} digits too long to read", first) from None
+
+
 def parse_word(text: str, alphabet_size: int) -> GroupWord:
     """Parse a word expression over x1..x<alphabet_size>.
 
@@ -211,7 +231,8 @@ def parse_word(text: str, alphabet_size: int) -> GroupWord:
     commutator a^-1 b^-1 a b.  One pass reads the text, keeping the open
     brackets on a list, so the depth it accepts does not depend on the
     caller's stack.  Raises WordSyntaxError with the offending position on
-    malformed input, on out-of-range generator indices, and at a bracket
+    malformed input, on out-of-range generator indices, on a number in
+    anything but ASCII digits or too long for int(), and at a bracket
     nested more than MAX_NESTING deep; a power, product or commutator of
     more than MAX_RUNS runs raises ValueError as soon as it is read.
     """
@@ -239,10 +260,7 @@ def parse_word(text: str, alphabet_size: int) -> GroupWord:
             continue
         if ch == "x":
             start = pos + 1
-            pos = skip(start, str.isdigit)
-            if pos == start:
-                raise WordSyntaxError("expected a generator index after 'x'", start)
-            index = int(text[start:pos])
+            index, pos = _read_int(text, start, "expected a generator index after 'x'")
             if not 1 <= index <= alphabet_size:
                 raise WordSyntaxError(
                     f"generator x{index} outside alphabet of size {alphabet_size}", start
@@ -258,12 +276,10 @@ def parse_word(text: str, alphabet_size: int) -> GroupWord:
         while True:
             pos = skip(pos, str.isspace)
             if text.startswith("^", pos):
-                start = skip(pos + 1, str.isspace)
-                digits = start + text.startswith("-", start)
-                pos = skip(digits, str.isdigit)
-                if pos == digits:
-                    raise WordSyntaxError("expected an integer", start)
-                atom = atom ** int(text[start:pos])
+                exponent, pos = _read_int(
+                    text, skip(pos + 1, str.isspace), "expected an integer", signed=True
+                )
+                atom = atom ** exponent
                 pos = skip(pos, str.isspace)
             product = atom if product is None else product * atom
             if text.startswith("*", pos):
@@ -315,13 +331,8 @@ def parse_monomial(text: str, alphabet_size: int) -> Monomial:
     while pos < len(text):
         if text[pos] != "x":
             raise WordSyntaxError("expected 'x'", pos)
-        pos += 1
-        start = pos
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-        if start == pos:
-            raise WordSyntaxError("expected a generator index after 'x'", start)
-        index = int(text[start:pos])
+        start = pos + 1
+        index, pos = _read_int(text, start, "expected a generator index after 'x'")
         if not 1 <= index <= alphabet_size:
             raise WordSyntaxError(
                 f"generator x{index} outside alphabet of size {alphabet_size}", start

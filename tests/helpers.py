@@ -15,7 +15,7 @@ from math import factorial, gcd
 
 from filtrate.coeff import ZZ
 from filtrate.emap import ExplicitEMap, TrivialEMap
-from filtrate.filt import FiltrationSpec, UniMatrix, member_series
+from filtrate.filt import FiltrationSpec, member_series
 from filtrate.magnus import TruncSeries, coefficient, magnus
 from filtrate.words import GroupWord, basic_commutator, enumerate_monomials, lyndon_words, realize
 
@@ -158,32 +158,35 @@ def series_inverse(series: TruncSeries) -> TruncSeries:
     return acc.scale(cinv)
 
 
-def unimatrix_identity(size: int, ring) -> UniMatrix:
-    return UniMatrix(size, ring)
+def unimatrix_identity(size: int, ring) -> list[list[int]]:
+    """The identity matrix over the ring as rows: 1 on the diagonal (0 over Z/1)."""
+    one = 1 % ring.modulus if ring.modulus else 1
+    return [[one if i == j else 0 for j in range(size)] for i in range(size)]
 
 
-def unimatrix_product(a: UniMatrix, b: UniMatrix) -> UniMatrix:
-    """The matrix product, summed entry by entry from the definition."""
-    if a.size != b.size or a.ring != b.ring:
-        raise ValueError("mismatched size or ring")
-    out = {}
-    for i in range(1, a.size):
-        for j in range(i + 1, a.size + 1):
-            total = a.entries.get((i, j), 0) + b.entries.get((i, j), 0)
-            for k in range(i + 1, j):
-                total += a.entries.get((i, k), 0) * b.entries.get((k, j), 0)
-            if total:
-                out[(i, j)] = total
-    return UniMatrix(a.size, a.ring, out)
+def unimatrix_product(a: list, b: list, ring) -> list[list[int]]:
+    """The product of two square row matrices over the ring, summed entry
+    by entry from the definition."""
+    size = len(a)
+    if len(b) != size:
+        raise ValueError("mismatched sizes")
+    out = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            total = sum(a[i][k] * b[k][j] for k in range(size))
+            row.append(total % ring.modulus if ring.modulus else total)
+        out.append(row)
+    return out
 
 
-def equal_ignoring_corner(a: UniMatrix, b: UniMatrix) -> bool:
-    """Equality in the quotient that forgets the (1, size) entry."""
-    if a.size != b.size or a.ring != b.ring:
+def equal_ignoring_corner(a: list, b: list) -> bool:
+    """Equality in the quotient that forgets the top-right entry."""
+    if len(a) != len(b):
         return False
-    corner = (1, a.size)
-    return ({k: v for k, v in a.entries.items() if k != corner}
-            == {k: v for k, v in b.entries.items() if k != corner})
+    corner = (0, len(a) - 1)
+    return all(a[i][j] == b[i][j] or (i, j) == corner
+               for i in range(len(a)) for j in range(len(a)))
 
 
 def random_series(rng: random.Random, ring, alphabet_size: int, cap: int,

@@ -270,7 +270,7 @@ def test_acceptance_7_algebraic_invariants(capsys):
         d = rng.randint(1, 3)
         w = tuple(rng.randint(1, k) for _ in range(d))
         ring = rng.choice((ZZ, RingSpec(4), RingSpec(5)))
-        if phi(w, g * h, ring) != unimatrix_product(phi(w, g, ring), phi(w, h, ring)):
+        if phi(w, g * h, ring) != unimatrix_product(phi(w, g, ring), phi(w, h, ring), ring):
             failures.append(("hom", w, g, h))
         homs += 1
     corners = 0
@@ -280,8 +280,8 @@ def test_acceptance_7_algebraic_invariants(capsys):
         for _ in range(20):
             g, h = rng.choice(deep), rng.choice(deep)
             for w in enumerate_monomials(2, n):
-                left = phi(w, g * h, ZZ).entry(1, n + 1)
-                right = phi(w, g, ZZ).entry(1, n + 1) + phi(w, h, ZZ).entry(1, n + 1)
+                left = phi(w, g * h, ZZ)[0][n]
+                right = phi(w, g, ZZ)[0][n] + phi(w, h, ZZ)[0][n]
                 if left != right:
                     failures.append(("corner", n, w))
                 corners += 1

@@ -524,6 +524,46 @@ def test_oversized_products_and_commutators_exit_three(word, message):
     assert elapsed < 0.5
 
 
+@pytest.mark.parametrize("argv, position", [
+    (["member", "--word", "x1^\u00b2", "--emap", "trivial", "--level", "2", "--alphabet", "2"], 3),
+    (["member", "--word", "x\u00b2", "--emap", "trivial", "--level", "2", "--alphabet", "2"], 1),
+    (["member", "--word", "x\u0663", "--emap", "trivial", "--level", "2", "--alphabet", "3"], 1),
+    (["rep", "--word", "x1", "--monomial", "x1\u00b2", "--ring", "Z", "--alphabet", "2"], 2),
+    (["member", "--word", "x1^" + "9" * 5000, "--emap", "trivial", "--level", "2",
+      "--alphabet", "2"], 3),
+    (["magnus", "--word", "x" + "1" * 5000, "--ring", "Z", "--cap", "1", "--alphabet", "2"], 1),
+])
+def test_bad_number_tokens_exit_two(capsys, argv, position):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert captured.out.count("\n") == 1
+    error = json.loads(captured.out)["error"]
+    assert error["kind"] == "parse" and error["position"] == position
+
+
+def test_kernel_rows_over_the_cell_limit_exit_three():
+    # a child process, so the time and memory are those of a fresh command
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", "from filtrate.cli import run; run()", "member", "--word",
+         "[x1,x2]", "--emap", "trivial", "--level", "8", "--alphabet", "10",
+         "--route", "kernels"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3 and proc.stderr == ""
+    assert proc.stdout.count("\n") == 1
+    error = json.loads(proc.stdout)["error"]
+    assert error == {
+        "kind": "precondition",
+        "message": "the kernel route at alphabet 10, degree 7 needs 11111110 cells"
+                   f" (alphabet^1 + ... + alphabet^7), over the limit of {MAX_CELLS}",
+    }
+    assert elapsed < 0.5
+
+
 def test_member_long_conjugate_power(capsys):
     code, report, _ = run(capsys, [
         "member", "--word", "(x1*x2*x1^-1)^1000000000", "--level", "2", "--emap", "trivial",

@@ -1,9 +1,8 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
-from filtrate.coeff import RingSpec, ZZ, divisible, integer_rank, parse_ring, reduce
+from filtrate.coeff import RingSpec, ZZ, divisible, integer_rank, parse_ring
 
 from helpers import is_unit, rational_rank
 
@@ -13,37 +12,6 @@ def test_ring_spec_validation():
     assert not RingSpec(5).is_integers
     with pytest.raises(ValueError):
         RingSpec(-1)
-
-
-def test_reduce_examples():
-    assert reduce(7, RingSpec(5)) == 2
-    assert reduce(-3, RingSpec(5)) == 2
-    assert reduce(7, ZZ) == 7
-    assert reduce(-7, ZZ) == -7
-    assert reduce(13, RingSpec(1)) == 0
-
-
-@given(st.integers(), st.integers(min_value=0, max_value=10**6))
-def test_reduce_idempotent(a, m):
-    ring = RingSpec(m)
-    assert reduce(reduce(a, ring), ring) == reduce(a, ring)
-
-
-def test_reduce_is_a_ring_homomorphism():
-    rng = random.Random(11)
-    for _ in range(1000):
-        a = rng.randint(-10**9, 10**9)
-        b = rng.randint(-10**9, 10**9)
-        ring = RingSpec(rng.randint(1, 10**6))
-        assert reduce(a + b, ring) == reduce(reduce(a, ring) + reduce(b, ring), ring)
-        assert reduce(a * b, ring) == reduce(reduce(a, ring) * reduce(b, ring), ring)
-
-
-def test_canonical_residue_range():
-    rng = random.Random(12)
-    for _ in range(500):
-        m = rng.randint(1, 1000)
-        assert 0 <= reduce(rng.randint(-10**6, 10**6), RingSpec(m)) < m
 
 
 def test_divisible_zero_convention():

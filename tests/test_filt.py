@@ -18,7 +18,6 @@ from filtrate.filt import (
     FiltrationSpec,
     QZassenhaus,
     SampleBudget,
-    UniMatrix,
     kernel_witness,
     member_kernels,
     member_series,
@@ -28,6 +27,7 @@ from filtrate.filt import (
     series_witness,
 )
 from filtrate.magnus import TruncSeries, coefficient, magnus
+from filtrate.massey import MAX_CELLS
 from filtrate.words import GroupWord, commutator, enumerate_monomials, generator, parse_word
 
 from helpers import (
@@ -40,36 +40,18 @@ from helpers import (
 )
 
 
-def test_unimatrix_construction_and_entry():
-    m = UniMatrix(3, ZZ, {(1, 2): 5, (2, 3): 0})
-    assert m.entry(1, 2) == 5
-    assert m.entry(2, 3) == 0
-    assert m.entry(2, 2) == 1
-    assert m.entry(3, 1) == 0
-    assert (2, 3) not in m.entries
-    with pytest.raises(ValueError):
-        UniMatrix(3, ZZ, {(2, 2): 1})
-    with pytest.raises(ValueError):
-        UniMatrix(3, ZZ, {(3, 1): 1})
-    with pytest.raises(ValueError):
-        m.entry(0, 4)
-    reduced = UniMatrix(2, RingSpec(4), {(1, 2): 6})
-    assert reduced.entry(1, 2) == 2
-
-
 def test_unimatrix_identity_and_product():
     i3 = unimatrix_identity(3, ZZ)
-    assert i3.is_identity()
-    a = UniMatrix(3, ZZ, {(1, 2): 2, (2, 3): 3})
-    b = UniMatrix(3, ZZ, {(1, 2): 5, (2, 3): 7, (1, 3): 1})
-    ab = unimatrix_product(a, b)
+    assert i3 == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert unimatrix_identity(2, RingSpec(1)) == [[0, 0], [0, 0]]
+    a = [[1, 2, 0], [0, 1, 3], [0, 0, 1]]
+    b = [[1, 5, 1], [0, 1, 7], [0, 0, 1]]
     # (1,3) picks up the shear product 2*7 on top of the sums
-    assert ab.entries == {(1, 2): 7, (2, 3): 10, (1, 3): 15}
-    assert unimatrix_product(a, i3) == a == unimatrix_product(i3, a)
+    assert unimatrix_product(a, b, ZZ) == [[1, 7, 15], [0, 1, 10], [0, 0, 1]]
+    assert unimatrix_product(a, b, RingSpec(5)) == [[1, 2, 0], [0, 1, 0], [0, 0, 1]]
+    assert unimatrix_product(a, i3, ZZ) == a == unimatrix_product(i3, a, ZZ)
     with pytest.raises(ValueError):
-        unimatrix_product(a, UniMatrix(4, ZZ))
-    with pytest.raises(ValueError):
-        unimatrix_product(a, UniMatrix(3, RingSpec(5)))
+        unimatrix_product(a, unimatrix_identity(4, ZZ), ZZ)
 
 
 def test_unimatrix_product_associative():
@@ -78,33 +60,31 @@ def test_unimatrix_product_associative():
         ring = rng.choice((ZZ, RingSpec(6)))
         size = rng.randint(2, 5)
         def rand():
-            return UniMatrix(size, ring, {
-                (i, j): rng.randint(-4, 4)
-                for i in range(1, size) for j in range(i + 1, size + 1)
-            })
+            return [[1 if i == j else rng.randint(-4, 4) if i < j else 0
+                     for j in range(size)] for i in range(size)]
         a, b, c = rand(), rand(), rand()
-        assert unimatrix_product(unimatrix_product(a, b), c) == \
-            unimatrix_product(a, unimatrix_product(b, c))
+        assert unimatrix_product(unimatrix_product(a, b, ring), c, ring) == \
+            unimatrix_product(a, unimatrix_product(b, c, ring), ring)
 
 
 def test_unimatrix_rows_and_corner_quotient():
-    m = UniMatrix(3, ZZ, {(1, 3): 9, (1, 2): 1})
-    assert m.rows() == [[1, 1, 9], [0, 1, 0], [0, 0, 1]]
-    other = UniMatrix(3, ZZ, {(1, 3): -2, (1, 2): 1})
+    m = [[1, 1, 9], [0, 1, 0], [0, 0, 1]]
+    other = [[1, 1, -2], [0, 1, 0], [0, 0, 1]]
     assert equal_ignoring_corner(m, other)
-    assert not equal_ignoring_corner(m, UniMatrix(3, ZZ, {(1, 2): 2, (1, 3): 9}))
-    assert not equal_ignoring_corner(m, UniMatrix(4, ZZ))
+    assert not equal_ignoring_corner(m, [[1, 2, 9], [0, 1, 0], [0, 0, 1]])
+    assert not equal_ignoring_corner(m, unimatrix_identity(4, ZZ))
 
 
 def test_phi_frozen_examples():
     x1 = parse_word("x1", 2)
-    m = phi((1,), x1, ZZ)
-    assert m.size == 2 and m.entries == {(1, 2): 1}
-    assert phi((1,), parse_word("x2", 2), ZZ).is_identity()
+    assert phi((1,), x1, ZZ) == [[1, 1], [0, 1]]
+    assert phi((1,), parse_word("x2", 2), ZZ) == unimatrix_identity(2, ZZ)
     comm = phi((1, 2), parse_word("[x1,x2]", 2), ZZ)
-    assert comm.size == 3 and comm.entries == {(1, 3): 1}
+    assert comm == [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
     # over Z/2 the square of a generator maps to the identity at length 1
-    assert phi((1,), parse_word("x1^2", 2), RingSpec(2)).is_identity()
+    assert phi((1,), parse_word("x1^2", 2), RingSpec(2)) == unimatrix_identity(2, RingSpec(2))
+    # over Z/1 every entry, the diagonal included, is 0
+    assert phi((1, 2), parse_word("x1*x2", 2), RingSpec(1)) == [[0] * 3] * 3
     with pytest.raises(ValueError):
         phi((), x1, ZZ)
 
@@ -119,11 +99,12 @@ def test_phi_entries_are_subword_coefficients():
         ring = rng.choice((ZZ, RingSpec(4)))
         m = phi(w, g, ring)
         s = magnus(g, ring, d)
-        for i in range(1, d + 2):
-            for j in range(i, d + 2):
-                if i == j:
-                    continue
-                assert m.entry(i, j) == coefficient(s, w[i - 1:j - 1])
+        assert len(m) == d + 1 and all(len(row) == d + 1 for row in m)
+        for i in range(d + 1):
+            for j in range(d + 1):
+                # the diagonal is the coefficient at the empty word, 1
+                expected = coefficient(s, w[i:j]) if i <= j else 0
+                assert m[i][j] == expected
 
 
 def test_phi_is_a_homomorphism():
@@ -135,10 +116,11 @@ def test_phi_is_a_homomorphism():
         d = rng.randint(1, 3)
         w = tuple(rng.randint(1, k) for _ in range(d))
         ring = rng.choice((ZZ, RingSpec(4), RingSpec(5)))
-        assert phi(w, g * h, ring) == unimatrix_product(phi(w, g, ring), phi(w, h, ring))
+        assert phi(w, g * h, ring) == unimatrix_product(phi(w, g, ring), phi(w, h, ring), ring)
     g = parse_word("x1*x2^-1", 2)
-    assert unimatrix_product(phi((1, 2), g, ZZ), phi((1, 2), g.inverse(), ZZ)).is_identity()
-    assert phi((1, 2, 1), GroupWord(2), ZZ).is_identity()
+    product = unimatrix_product(phi((1, 2), g, ZZ), phi((1, 2), g.inverse(), ZZ), ZZ)
+    assert product == unimatrix_identity(3, ZZ)
+    assert phi((1, 2, 1), GroupWord(2), ZZ) == unimatrix_identity(4, ZZ)
 
 
 def test_filtration_spec_validation():
@@ -194,8 +176,8 @@ def test_kernel_witness_content():
     d, w, v = witness
     ring = RingSpec(spec.emap.evaluate(3, d))
     image = phi(w, g, ring)
-    assert not image.is_identity()
-    assert v in image.entries.values() and v != 0
+    assert image != unimatrix_identity(d + 1, ring)
+    assert v != 0 and any(v in row[i + 1:] for i, row in enumerate(image))
 
 
 def _member_pool(rng, k, level):
@@ -374,8 +356,8 @@ def test_corner_entry_is_additive_on_members():
         for _ in range(20):
             g, h = rng.choice(pool), rng.choice(pool)
             for w in enumerate_monomials(2, n):
-                left = phi(w, g * h, ZZ).entry(1, n + 1)
-                right = phi(w, g, ZZ).entry(1, n + 1) + phi(w, h, ZZ).entry(1, n + 1)
+                left = phi(w, g * h, ZZ)[0][n]
+                right = phi(w, g, ZZ)[0][n] + phi(w, h, ZZ)[0][n]
                 assert left == right, (n, w, g, h)
                 checked += 1
     assert checked >= 100
@@ -390,6 +372,24 @@ def test_members_act_trivially_off_the_corner():
         for g in product_sampler(TrivialEMap(), n, 2, budget, seed=69 + n):
             for w in enumerate_monomials(2, n):
                 assert equal_ignoring_corner(phi(w, g, ZZ), identity), (n, w, g)
+
+
+def test_kernel_rows_are_bounded_before_they_are_built(monkeypatch):
+    caps = []
+    top_rows = filt._top_rows
+    monkeypatch.setattr(filt, "_top_rows", lambda g, m, cap: caps.append(cap) or top_rows(g, m, cap))
+    spec = FiltrationSpec(TrivialEMap(), 8)
+    # degree 1 is read from the exponent sums before the bound applies
+    assert kernel_witness(parse_word("x1", 10), spec) == (1, (1,), 1)
+    with pytest.raises(ValueError, match=f"needs 11111110 cells .*limit of {MAX_CELLS}$"):
+        kernel_witness(parse_word("[x1,x2]", 10), spec)
+    assert caps == [1, 1]
+    with pytest.raises(ValueError, match=f"degree 39 needs more than {MAX_CELLS} cells"):
+        kernel_witness(parse_word("[x1,x2]", 2), FiltrationSpec(TrivialEMap(), 40))
+    # one level lower the rows hold 1111110 cells and are built
+    spec = FiltrationSpec(TrivialEMap(), 7)
+    assert kernel_witness(parse_word("[x1,x2]", 10), spec) == (2, (1, 2), 1)
+    assert caps == [1, 1, 1, 1, 6]
 
 
 def _witness_pool(rng, e, level, k):

@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from filtrate.coeff import RingSpec, ZZ, reduce as ring_reduce
+from filtrate.coeff import RingSpec, ZZ
 from filtrate.magnus import (
     CapExceededError,
     TruncSeries,

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import filtrate.massey as massey
+from filtrate import filt
 from filtrate.coeff import ZZ, integer_rank
 from filtrate.emap import TrivialEMap
 from filtrate.filt import FiltrationSpec, SampleBudget, member_series, product_sampler
@@ -125,16 +126,21 @@ def test_rank_equals_necklace_count():
 
 
 def test_lie_rows_match_magnus_rows():
-    # every (k, n) with k**n <= 1024: the rows of the old build, which
-    # expanded each realized bracketing to cap n
+    # every (k, n) with k**n <= 1024: the degree-n coefficients of each
+    # realized bracketing, read from the kernel route's top rows (one pass
+    # of binomials over the runs); up to k**n <= 256 also the rows of the
+    # old build, which expanded each bracketing with `magnus` to cap n
     for k in range(2, 33):
         n = 2
         while k**n <= 1024:
             pm = pairing_matrix(k, n)
-            assert pm.entries == pairing_rows_by_magnus(k, n), (k, n)
-            assert pm.row_labels == tuple(
-                realize(basic_commutator(u), k) for u in lyndon_words(k, n)
-            )
+            realized = tuple(realize(basic_commutator(u), k) for u in lyndon_words(k, n))
+            assert pm.row_labels == realized
+            assert pm.entries == tuple(
+                tuple(filt._top_rows(g, 0, n)[n]) for g in realized
+            ), (k, n)
+            if k**n <= 256:
+                assert pm.entries == pairing_rows_by_magnus(k, n), (k, n)
             n += 1
 
 

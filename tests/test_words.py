@@ -169,6 +169,27 @@ def test_parse_errors_carry_position():
         parse_word("y1", 2)
 
 
+@pytest.mark.parametrize("parse, text, position", [
+    (parse_word, "x1^\u00b2", 3),
+    (parse_word, "x\u00b2", 1),
+    (parse_word, "x\u0663", 1),
+    (parse_word, "x1^-\u0663", 3),
+    (parse_monomial, "x1\u00b2", 2),
+    (parse_monomial, "x\u0663", 1),
+    # more digits than int() converts by default (4300)
+    (parse_word, "x1^" + "9" * 5000, 3),
+    (parse_word, "x1^ -" + "9" * 5000, 5),
+    (parse_word, "x" + "1" * 5000, 1),
+    (parse_monomial, "x1x" + "1" * 5000, 3),
+])
+def test_integers_are_ascii_digits_that_int_reads(parse, text, position):
+    # superscripts and other Unicode digits are not digits of the grammar,
+    # and a number too long to convert fails at its first digit
+    with pytest.raises(WordSyntaxError) as info:
+        parse(text, 3)
+    assert info.value.position == position
+
+
 def test_deep_nesting_is_a_syntax_error():
     assert parse_word("(" * 100 + "x1" + ")" * 100, 1).letters == (1,)
     for text in ("(" * 3000 + "x1" + ")" * 3000, "[x1," * 3000 + "x1" + "]" * 3000):
