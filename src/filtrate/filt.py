@@ -8,12 +8,15 @@ ideal.  Membership is decided by two deliberately different routes:
   over Z directly.  It reads degree 1 from an expansion at cap 1 first,
   and only if that passes, the degrees up to the last one whose divisor
   gcd(e(n, 1..d)) is not 1, from an expansion at that cap;
-* the kernel route builds, for every monomial w of length d < n with
-  e(n, d) != 1, the unipotent matrix of subword coefficients over
-  Z/e(n,d) and demands the identity.  It never expands the word: it reads
-  degree 1 from the exponent sums, and only if that passes, multiplies the
-  top rows of all words up to the last such d by the image of each run
-  x_i^e, which has binom(e, b-a) at (a, b) where the word is all i there.
+* the kernel route demands that, for every monomial w of length d < n
+  with e(n, d) != 1, the unipotent matrix of subword coefficients over
+  Z/e(n,d) be the identity.  It never expands the word: it reads degree 1
+  from the exponent sums, and only if that passes, multiplies the top rows
+  of all words up to the last such d by the image of each run x_i^e, which
+  has binom(e, b-a) at (a, b) where the word is all i there.  Every word of
+  length <= d is a subword of one of length d, so degree d passes exactly
+  when the rows of lengths 1..d vanish mod e(n, d); only a degree that
+  fails is scanned word by word, to name its witness.
 
 Neither route reads a degree whose divisor is 1: nothing there can fail.
 The kernel route decides this from e(n, d) itself, not from the series
@@ -134,15 +137,9 @@ def _top_rows(g: GroupWord, modulus: int, cap: int) -> list[list[int]]:
     which has binom(e, b - a) at (a, b) when u[a..b-1] is all i: the entry
     at u gains binom(e, j) times the entry at u less its last j letters
     whenever those letters are all i.  Lengths are updated from the longest
-    down, so every update reads the shorter rows before the run.  At cap 1
-    a run only adds e at its own letter.
+    down, so every update reads the shorter rows before the run.
     """
     k = g.alphabet_size
-    if cap == 1:
-        sums = [0] * k
-        for i, e in g.runs:
-            sums[i - 1] += e
-        return [[1], [s % modulus for s in sums] if modulus else sums]
     rows = [[1]] + [[0] * k ** m for m in range(1, cap + 1)]
     for i, e in g.runs:
         # (j, code of i^j, k^j, binom(e, j)) for the nonzero binomials
@@ -192,23 +189,31 @@ def kernel_witness(g: GroupWord, spec: FiltrationSpec):
     images of its runs: x_i^e goes to the unipotent matrix with binom(e, b-a)
     at (a, b) when w[a..b-1] is all i.  A degree d with e(n, d) = 1 is
     skipped: over the zero ring Z/1 every matrix is the identity.  Degree 1
-    is read first, from the exponent sums.  Only if it passes does one pass
-    over the runs build the top rows of every word up to the last degree
-    top < n with e(n, d) != 1 (`_top_rows`), over Z/L with L the lcm of
-    those e(n, d) with d >= 2 (Z if one is 0); rows of more than MAX_CELLS
-    entries in all raise ValueError before any is built.  Entry (a, b) of
-    w's matrix is the top-right entry of the image attached to w[a..b-1].
-    Words of each length are then tested in lexicographic order, each entry
-    read in place and reduced mod e(n, d), and the scan stops at the first
-    nonzero entry: the least (a, b) of the first non-identity image.  The
-    route never expands g as a series.
+    is read first, from the exponent sum of each letter; the witness is the
+    least letter whose sum is nonzero mod e(n, 1).  Only if it passes does
+    one pass over the runs build the top rows of every word up to the last
+    degree top < n with e(n, d) != 1 (`_top_rows`), over Z/L with L the lcm
+    of those e(n, d) with d >= 2 (Z if one is 0); rows of more than
+    MAX_CELLS entries in all raise ValueError before any is built.
+
+    Entry (a, b) of w's matrix is the top-right entry of the image attached
+    to w[a..b-1], and every word of length <= d is a subword of some word
+    of length d, so degree d passes exactly when the rows of lengths 1..d
+    are all 0 mod e(n, d).  That is read from the rows alone, whatever the
+    other degrees' moduli.  Only a degree that fails is scanned: its words
+    in lexicographic order, each entry read in place and reduced mod
+    e(n, d), up to the first nonzero entry, the least (a, b) of the first
+    non-identity image.  The route never expands g as a series.
     """
     n = spec.level
     k = g.alphabet_size
     first = spec.emap.evaluate(n, 1) if n > 1 else 1
     if first != 1:
-        for i, s in enumerate(_top_rows(g, first, 1)[1], 1):
-            if s:
+        sums: dict[int, int] = {}
+        for i, e in g.runs:
+            sums[i] = sums.get(i, 0) + e
+        for i in sorted(sums):
+            if s := sums[i] % first if first else sums[i]:
                 return (1, (i,), s)
     moduli = {d: m for d in range(2, n) if (m := spec.emap.evaluate(n, d)) != 1}
     if not moduli:
@@ -217,6 +222,8 @@ def kernel_witness(g: GroupWord, spec: FiltrationSpec):
     _check_cells(k, top)
     rows = _top_rows(g, lcm(*moduli.values()), top)
     for d, m in moduli.items():
+        if not any(v % m if m else v for row in rows[1:d + 1] for v in row):
+            continue
         for w in product(range(k), repeat=d):
             # entry (a, b) is the top-right entry of the image attached to
             # w[a..b-1], the last of the top row of the suffix w[a..]; the

@@ -167,28 +167,35 @@ def magnus(g: GroupWord, ring: RingSpec, cap: int) -> TruncSeries:
     A run xi^k expands to (1 + xi)^k = sum_{j <= cap} binom(k, j) xi^j, with
     the generalised binomial k(k-1)...(k-j+1)/j! when k < 0, so the word
     costs one series product per run, left to right, however long the runs.
+    Each product updates the accumulated coefficients in place: a snapshot
+    of them supplies every term's left factor, so each reads its value from
+    before the run, and a coefficient that becomes 0 is dropped at once.
     """
     if cap < 1:
         raise ValueError(f"degree cap must be >= 1, got {cap}")
     m = ring.modulus
     acc: dict[Monomial, int] = {(): 1}
     for i, k in g.runs:
-        # the run's terms of degree >= 1; its constant term 1 copies acc
+        # the run's terms of degree >= 1; its constant term 1 keeps acc
         terms = []
         c = k
         for j in range(1, cap + 1):
-            if c % m if m else c:
-                terms.append((j, (i,) * j, c))
+            if r := c % m if m else c:
+                terms.append((j, (i,) * j, r))
             c = c * (k - j) // (j + 1)
-        out = dict(acc)
-        for u, a in acc.items():
+        for u, a in list(acc.items()):
             room = cap - len(u)
             for j, tail, c in terms:
                 if j > room:
                     break
                 w = u + tail
-                out[w] = out.get(w, 0) + a * c
-        acc = _canonical(out, m)
+                v = acc.get(w, 0) + a * c
+                if m:
+                    v %= m
+                if v:
+                    acc[w] = v
+                else:
+                    acc.pop(w, None)
     return TruncSeries._trusted(ring, g.alphabet_size, cap, acc)
 
 

@@ -24,6 +24,18 @@ from filtrate.words import (
 from helpers import pairing_rows_by_magnus
 
 
+def run_child(argv):
+    """Run the CLI in a child process, so the time and memory are those of
+    a fresh command; returns the finished process and its wall time."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", "from filtrate.cli import run; run()", *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    return proc, time.perf_counter() - start
+
+
 def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
@@ -508,15 +520,8 @@ def test_oversized_power_exits_three_at_once(capsys):
     ("(x1*x2)^400000*(x1^-1*x2)^400000", "the product has 1600000 runs"),
 ])
 def test_oversized_products_and_commutators_exit_three(word, message):
-    # a child process, so the time and memory are those of a fresh command
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-c", "from filtrate.cli import run; run()", "magnus", "--word", word,
-         "--ring", "Z", "--cap", "1", "--alphabet", "2"],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-    )
-    elapsed = time.perf_counter() - start
+    proc, elapsed = run_child(["magnus", "--word", word, "--ring", "Z", "--cap", "1",
+                               "--alphabet", "2"])
     assert proc.returncode == 3 and proc.stderr == ""
     assert proc.stdout.count("\n") == 1
     error = json.loads(proc.stdout)["error"]
@@ -543,16 +548,8 @@ def test_bad_number_tokens_exit_two(capsys, argv, position):
 
 
 def test_kernel_rows_over_the_cell_limit_exit_three():
-    # a child process, so the time and memory are those of a fresh command
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-c", "from filtrate.cli import run; run()", "member", "--word",
-         "[x1,x2]", "--emap", "trivial", "--level", "8", "--alphabet", "10",
-         "--route", "kernels"],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-    )
-    elapsed = time.perf_counter() - start
+    proc, elapsed = run_child(["member", "--word", "[x1,x2]", "--emap", "trivial", "--level", "8",
+                               "--alphabet", "10", "--route", "kernels"])
     assert proc.returncode == 3 and proc.stderr == ""
     assert proc.stdout.count("\n") == 1
     error = json.loads(proc.stdout)["error"]
@@ -562,6 +559,38 @@ def test_kernel_rows_over_the_cell_limit_exit_three():
                    f" (alphabet^1 + ... + alphabet^7), over the limit of {MAX_CELLS}",
     }
     assert elapsed < 0.5
+
+
+def test_kernel_route_member_at_a_long_level():
+    # a passing degree is read from the rows, not from every word's matrix
+    proc, elapsed = run_child(["member", "--word", "e", "--emap", "trivial", "--level", "1000",
+                               "--alphabet", "1", "--route", "kernels"])
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["member"] is True
+    assert elapsed < 5
+
+
+def test_kernel_route_over_a_huge_alphabet():
+    # degree 1 sums the exponents of the letters in the word, so an alphabet
+    # of 4001 digits allocates nothing; the rows for degree 2 are refused
+    alphabet = "1" + "0" * 4000
+    argv = ["member", "--emap", "trivial", "--level", "3", "--alphabet", alphabet,
+            "--route", "kernels"]
+    proc, _ = run_child(argv + ["--word", "[x1,x2]"])
+    assert proc.returncode == 3 and proc.stderr == ""
+    assert proc.stdout.count("\n") == 1
+    error = json.loads(proc.stdout)["error"]
+    assert error == {
+        "kind": "precondition",
+        "message": f"the kernel route at alphabet {alphabet}, degree 2 needs more than"
+                   f" {MAX_CELLS} cells (alphabet^1 + ... + alphabet^2), over the limit of {MAX_CELLS}",
+    }
+    proc, _ = run_child(argv + ["--word", "x1"])
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.count("\n") == 1
+    report = json.loads(proc.stdout)
+    assert report["member"] is False
+    assert report["witness"] == {"degree": 1, "word": "x1", "coefficient": "1"}
 
 
 def test_member_long_conjugate_power(capsys):

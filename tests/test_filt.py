@@ -28,10 +28,20 @@ from filtrate.filt import (
 )
 from filtrate.magnus import TruncSeries, coefficient, magnus
 from filtrate.massey import MAX_CELLS
-from filtrate.words import GroupWord, commutator, enumerate_monomials, generator, parse_word
+from filtrate.words import (
+    GroupWord,
+    basic_commutator,
+    commutator,
+    enumerate_monomials,
+    generator,
+    lyndon_words,
+    parse_word,
+    realize,
+)
 
 from helpers import (
     equal_ignoring_corner,
+    magnus_by_letters,
     membership_witnesses,
     random_descending_table,
     random_reduced_word,
@@ -383,13 +393,13 @@ def test_kernel_rows_are_bounded_before_they_are_built(monkeypatch):
     assert kernel_witness(parse_word("x1", 10), spec) == (1, (1,), 1)
     with pytest.raises(ValueError, match=f"needs 11111110 cells .*limit of {MAX_CELLS}$"):
         kernel_witness(parse_word("[x1,x2]", 10), spec)
-    assert caps == [1, 1]
+    assert caps == []
     with pytest.raises(ValueError, match=f"degree 39 needs more than {MAX_CELLS} cells"):
         kernel_witness(parse_word("[x1,x2]", 2), FiltrationSpec(TrivialEMap(), 40))
     # one level lower the rows hold 1111110 cells and are built
     spec = FiltrationSpec(TrivialEMap(), 7)
     assert kernel_witness(parse_word("[x1,x2]", 10), spec) == (2, (1, 2), 1)
-    assert caps == [1, 1, 1, 1, 6]
+    assert caps == [6]
 
 
 def _witness_pool(rng, e, level, k):
@@ -468,6 +478,28 @@ def test_kernel_route_reads_rows_that_are_not_chains():
     assert seen == {None, 2, 3}, seen
 
 
+def test_a_degree_can_fail_on_its_longest_row_alone():
+    # each word's expansion vanishes mod e(n, d) below its witness degree d,
+    # so at degree d only the row of length d holds a nonzero entry: a route
+    # that read the shorter rows alone would call every one of them a member
+    cases = []
+    for k in (2, 3):
+        for d in (2, 3, 4):
+            for u in lyndon_words(k, d):
+                g = realize(basic_commutator(u), k)
+                cases += [(g, TrivialEMap(), d + 1, d), (g ** 2, ConstantEMap(2), d + 2, d)]
+    # rows over Z/12 where x1^4 leaves 4 in the row of length 1, which only
+    # e(4, 2) = 4 clears
+    cases.append((parse_word("x1^4", 1), ExplicitEMap({4: (4, 4, 6, 1)}), 4, 2))
+    for g, e, level, d in cases:
+        m = e.evaluate(level, d)
+        coeffs = magnus_by_letters(g.letters, 0, d)
+        assert not any(c % m if m else c for w, c in coeffs.items() if 0 < len(w) < d), (g, e, level)
+        _, kernel = membership_witnesses(g, e, level)
+        assert kernel is not None and kernel[0] == d, (g, e, level, kernel)
+        assert kernel_witness(g, SimpleNamespace(emap=e, level=level)) == kernel, (g, e, level)
+
+
 def test_expansions_stop_at_the_degrees_that_can_decide(monkeypatch):
     calls = []
     tables = []
@@ -484,12 +516,12 @@ def test_expansions_stop_at_the_degrees_that_can_decide(monkeypatch):
     monkeypatch.setattr(filt, "magnus", recording)
     monkeypatch.setattr(filt, "_top_rows", recording_rows)
     # a degree-1 failure is read from a cap-1 expansion, or the exponent sums,
-    # alone
+    # alone; the sums build no rows
     g = parse_word("x1*x2^2", 2)
     spec = FiltrationSpec(ZassenhausEMap(2, 1), 5)
     assert series_witness(g, spec) == kernel_witness(g, spec) == (1, (1,), 1)
     assert calls == [(ZZ, 1)]
-    assert tables == [(8, 1)]
+    assert tables == []
     e = SequenceGcdEMap((3, 3, 2, 2, 2, 2))
     assert e.row(7) == (144, 24, 4, 2, 1, 1, 1)
     spec = FiltrationSpec(e, 7)
@@ -502,10 +534,10 @@ def test_expansions_stop_at_the_degrees_that_can_decide(monkeypatch):
         assert tables == []
         calls.clear()
         assert kernel_witness(g, spec) is None
-        # the kernel route expands nothing: one table at cap 1, one up to
-        # degree 4 over the lcm of e(7, 2..4)
+        # the kernel route expands nothing: one table up to degree 4 over
+        # the lcm of e(7, 2..4)
         assert calls == []
-        assert tables == [(144, 1), (24, 4)]
+        assert tables == [(24, 4)]
     # a table with every divisor 1 constrains nothing
     calls.clear()
     tables.clear()

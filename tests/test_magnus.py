@@ -174,6 +174,23 @@ def test_magnus_matches_letter_by_letter_on_long_runs():
         assert TruncSeries(ring, k, cap, s.coeffs) == s
 
 
+def test_magnus_coefficient_cancels_and_returns():
+    # x1^a x2 x1^(m-a) brings the coefficient at x1 to m, which is 0 in Z/m,
+    # and the closing x1 makes it 1 again; every prefix is checked, so the
+    # terms built on x1 while it is 0 are checked too
+    for m in (4, 6, 12):
+        ring = RingSpec(m)
+        for a in range(1, m):
+            g = GroupWord(2)
+            letters = []
+            for count, (i, e) in enumerate([(1, a), (2, 1), (1, m - a), (2, 1), (1, 1)], 1):
+                g = g * generator(2, i) ** e
+                letters += [i] * e
+                s = magnus(g, ring, 3)
+                assert s.coeffs == magnus_by_letters(letters, m, 3), (m, a, count)
+                assert ((1,) in s.coeffs) == (count not in (3, 4)), (m, a, count)
+
+
 def test_magnus_of_a_huge_run():
     s = magnus(parse_word("x1^10000000", 1), ZZ, 3)
     assert s.coeffs == {
