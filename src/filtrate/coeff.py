@@ -20,10 +20,6 @@ class RingSpec:
         if self.modulus < 0:
             raise ValueError(f"modulus must be non-negative, got {self.modulus}")
 
-    @property
-    def is_integers(self) -> bool:
-        return self.modulus == 0
-
     def __str__(self) -> str:
         return "Z" if self.modulus == 0 else f"Z/{self.modulus}"
 

@@ -10,7 +10,7 @@ part is divisible by e(n, i) for i < n; degrees >= n are unconstrained.
 from __future__ import annotations
 
 import json
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import comb, gcd
 from typing import NamedTuple
 
@@ -93,9 +93,11 @@ class ConstantEMap(EMap):
 class SequenceGcdEMap(EMap):
     """e(n, i) = gcd of all products of n-i distinct entries of a1..a_{n-1}.
 
-    Symmetric in the first n-1 entries of the sequence.  Values are memoized;
-    subset enumeration stops once the running gcd reaches 1, below which it
-    cannot drop (it only vanishes when every product does).
+    Symmetric in the first n-1 entries of the sequence.  Row n comes from
+    Lazard's recurrence, one entry at a time: with g_j the gcd of the
+    products of j distinct entries seen so far (g_0 = 1, and g_j = 0 while
+    there are none), an entry a sends g_j to gcd(g_j, a * g_{j-1}).  Rows
+    are memoized.
     """
 
     def __init__(self, seq):
@@ -103,7 +105,7 @@ class SequenceGcdEMap(EMap):
         if any(a < 0 for a in seq):
             raise ValueError("sequence entries must be >= 0")
         self.seq = seq
-        self._memo: dict[tuple[int, int], int] = {}
+        self._rows: dict[int, list[int]] = {}
 
     def _value(self, n, i):
         if i == n:
@@ -112,20 +114,15 @@ class SequenceGcdEMap(EMap):
             raise ValueError(
                 f"need {n - 1} sequence entries for level {n}, have {len(self.seq)}"
             )
-        key = (n, i)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        g = 0
-        for subset in combinations(self.seq[: n - 1], n - i):
-            prod = 1
-            for a in subset:
-                prod *= a
-            g = gcd(g, prod)
-            if g == 1:
-                break
-        self._memo[key] = g
-        return g
+        row = self._rows.get(n)
+        if row is None:
+            row = [1] + [0] * (n - 1)
+            for a in self.seq[: n - 1]:
+                # from the top down, so each step reads g_{j-1} before a
+                for j in range(n - 1, 0, -1):
+                    row[j] = gcd(row[j], a * row[j - 1])
+            self._rows[n] = row
+        return row[n - i]
 
     def describe(self):
         return "gcdseq:" + ",".join(str(a) for a in self.seq)

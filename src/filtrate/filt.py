@@ -44,7 +44,7 @@ from .emap import (
     ideal_member_witness,
 )
 from .magnus import TruncSeries, magnus
-from .massey import MAX_CELLS
+from .massey import MAX_CELLS, check_cells, necklace
 from .words import (
     GroupWord,
     Monomial,
@@ -166,22 +166,6 @@ def _top_rows(g: GroupWord, modulus: int, cap: int) -> list[list[int]]:
     return rows
 
 
-def _check_cells(k: int, top: int) -> None:
-    """Refuse top rows of more than MAX_CELLS entries before any is built."""
-    # the rows hold k**m entries for each length m <= top; past these sizes
-    # the longest row alone is over the limit, so the sum is not computed
-    if k > MAX_CELLS or k > 1 and top > MAX_CELLS.bit_length():
-        cells = f"more than {MAX_CELLS}"
-    else:
-        cells = sum(k ** m for m in range(1, top + 1))
-        if cells <= MAX_CELLS:
-            return
-    raise ValueError(
-        f"the kernel route at alphabet {k}, degree {top} needs {cells} cells"
-        f" (alphabet^1 + ... + alphabet^{top}), over the limit of {MAX_CELLS}"
-    )
-
-
 def kernel_witness(g: GroupWord, spec: FiltrationSpec):
     """Failing (degree, monomial, entry) on the kernel route, or None.
 
@@ -219,7 +203,12 @@ def kernel_witness(g: GroupWord, spec: FiltrationSpec):
     if not moduli:
         return None
     top = max(moduli)
-    _check_cells(k, top)
+    # the rows hold k**m entries for each length m <= top; past these sizes
+    # the longest row alone is over the limit, so the sum is not computed
+    over = k > MAX_CELLS or k > 1 and top > MAX_CELLS.bit_length()
+    check_cells(f"the kernel route at alphabet {k}, degree {top}",
+                f"alphabet^1 + ... + alphabet^{top}",
+                None if over else sum(k ** m for m in range(1, top + 1)))
     rows = _top_rows(g, lcm(*moduli.values()), top)
     for d, m in moduli.items():
         if not any(v % m if m else v for row in rows[1:d + 1] for v in row):
@@ -279,9 +268,6 @@ class AFiltration:
     def splittings(self, n: int):
         return [(n - 1, 1)]
 
-    def describe(self) -> str:
-        return "afilt:" + ",".join(str(a) for a in self.exponents)
-
 
 @dataclass(frozen=True)
 class QZassenhaus:
@@ -297,21 +283,14 @@ class QZassenhaus:
         if self.t < 1:
             raise ValueError(f"t must be >= 1, got {self.t}")
 
-    @property
-    def q(self) -> int:
-        return self.p ** self.t
-
     def power_exponent(self, n: int) -> int:
-        return self.q
+        return self.p ** self.t
 
     def power_level(self, n: int) -> int:
         return -(-n // self.p)
 
     def splittings(self, n: int):
         return [(s, n - s) for s in range(1, n)]
-
-    def describe(self) -> str:
-        return f"zass:{self.p},{self.t}"
 
 
 def _sample_element(scheme, n, alphabet_size, budget, rng) -> GroupWord:
@@ -365,25 +344,32 @@ def product_sampler(
     to e(n, i).  On one letter only weight 1 has a Lyndon word, so when
     e(n, 1) = 0 no weight is left and every sample is the empty word.
     Outputs lie in the level-n product subgroup by construction.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  The Lyndon words of every such weight
+    are listed first; more than MAX_CELLS letters in all, weight times
+    necklace(k, weight) summed over the weights, raise ValueError before
+    any is listed.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    rng = random.Random(seed)
-    pools = {
-        i: list(lyndon_words(alphabet_size, i))
-        for i in range(1, level + 1)
-        if e.evaluate(level, i) != 0
-    }
-    weights = [i for i, pool in pools.items() if pool]
+    k = alphabet_size
+    top = level if k > 1 else 1
+    weights = [i for i in range(1, top + 1) if e.evaluate(level, i) != 0]
+    # there are about k**i / i Lyndon words of weight i, so past these sizes
+    # the heaviest weight alone is over the limit
+    over = weights and (k > MAX_CELLS or k > 1 and weights[-1] > MAX_CELLS.bit_length())
+    check_cells(f"the product sampler at alphabet {k}, level {level}",
+                "weight * necklace(alphabet, weight), summed over the weights",
+                None if over else sum(i * necklace(k, i) for i in weights))
     if not weights:
-        return [GroupWord(alphabet_size)] * budget.count
+        return [GroupWord(k)] * budget.count
+    rng = random.Random(seed)
+    pools = {i: list(lyndon_words(k, i)) for i in weights}
     out = []
     for _ in range(budget.count):
-        w = GroupWord(alphabet_size)
+        w = GroupWord(k)
         for _ in range(rng.randint(1, budget.fanout)):
             i = rng.choice(weights)
-            u = realize(basic_commutator(rng.choice(pools[i])), alphabet_size)
+            u = realize(basic_commutator(rng.choice(pools[i])), k)
             w = w * u ** e.evaluate(level, i)
         out.append(w)
     return out

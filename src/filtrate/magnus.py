@@ -66,20 +66,8 @@ class TruncSeries:
         raise AttributeError("TruncSeries is immutable")
 
     @classmethod
-    def zero(cls, ring: RingSpec, alphabet_size: int, cap: int) -> "TruncSeries":
-        return cls(ring, alphabet_size, cap)
-
-    @classmethod
     def one(cls, ring: RingSpec, alphabet_size: int, cap: int) -> "TruncSeries":
         return cls(ring, alphabet_size, cap, {(): 1})
-
-    @classmethod
-    def gen(cls, ring: RingSpec, alphabet_size: int, cap: int, index: int) -> "TruncSeries":
-        return cls(ring, alphabet_size, cap, {(index,): 1})
-
-    @property
-    def constant_term(self) -> int:
-        return self.coeffs.get((), 0)
 
     def _require_compatible(self, other: "TruncSeries"):
         if (
@@ -97,9 +85,6 @@ class TruncSeries:
             and self.cap == other.cap
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.alphabet_size, self.cap, frozenset(self.coeffs.items())))
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         self._require_compatible(other)

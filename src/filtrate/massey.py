@@ -104,19 +104,16 @@ def _lie_polynomial(bc: BasicCommutator, k: int) -> dict[int, int]:
     return {w: c for w, c in out.items() if c}
 
 
-def _check_size(k: int, n: int) -> None:
-    # each of the k**n >= 2**n column labels has n letters, so these levels
-    # are over the limit without computing k**n
-    if n > (MAX_CELLS if k == 1 else MAX_CELLS.bit_length()):
-        cells = f"more than {MAX_CELLS}"
-    else:
-        cells = (necklace(k, n) + n) * k**n
-        if cells <= MAX_CELLS:
-            return
-    raise ValueError(
-        f"the pairing matrix at alphabet {k}, level {n} needs {cells} cells"
-        f" ((rows + level) * alphabet^level), over the limit of {MAX_CELLS}"
-    )
+def check_cells(what: str, formula: str, cells: int | None) -> None:
+    """Refuse a build of more than MAX_CELLS cells before any of it is made.
+
+    `cells` is the count, given by `formula`, or None when the caller knows
+    it is over the limit without computing it.
+    """
+    if cells is not None and cells <= MAX_CELLS:
+        return
+    count = f"more than {MAX_CELLS}" if cells is None else cells
+    raise ValueError(f"{what} needs {count} cells ({formula}), over the limit of {MAX_CELLS}")
 
 
 def pairing_matrix(alphabet_size: int, n: int) -> PairingMatrix:
@@ -128,19 +125,24 @@ def pairing_matrix(alphabet_size: int, n: int) -> PairingMatrix:
         raise ValueError(f"level must be >= 2, got {n}")
     if alphabet_size < 1:
         raise ValueError(f"alphabet size must be >= 1, got {alphabet_size}")
-    _check_size(alphabet_size, n)
-    width = alphabet_size**n
+    k = alphabet_size
+    # each of the k**n >= 2**n column labels has n letters, so these levels
+    # are over the limit without computing k**n
+    over = n > (MAX_CELLS if k == 1 else MAX_CELLS.bit_length())
+    check_cells(f"the pairing matrix at alphabet {k}, level {n}",
+                "(rows + level) * alphabet^level", None if over else (necklace(k, n) + n) * k**n)
+    width = k**n
     rows = []
     labels = []
-    for u in lyndon_words(alphabet_size, n):
+    for u in lyndon_words(k, n):
         bc = basic_commutator(u)
         row = [0] * width
-        for w, c in _lie_polynomial(bc, alphabet_size).items():
+        for w, c in _lie_polynomial(bc, k).items():
             row[w] = c
         rows.append(tuple(row))
-        labels.append(realize(bc, alphabet_size))
-    columns = tuple(enumerate_monomials(alphabet_size, n))
-    return PairingMatrix(n, alphabet_size, tuple(labels), columns, tuple(rows))
+        labels.append(realize(bc, k))
+    columns = tuple(enumerate_monomials(k, n))
+    return PairingMatrix(n, k, tuple(labels), columns, tuple(rows))
 
 
 def pairing_rank(matrix: PairingMatrix) -> int:

@@ -94,10 +94,6 @@ class GroupWord:
     def __repr__(self) -> str:
         return f"<GroupWord {format_word(self)} over x1..x{self.alphabet_size}>"
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.runs
-
     def _require_same_alphabet(self, other: "GroupWord"):
         if self.alphabet_size != other.alphabet_size:
             raise ValueError(
@@ -185,10 +181,6 @@ def commutator(a: GroupWord, b: GroupWord) -> GroupWord:
     merged = shared < common and ab[shared][0] == ba[shared][0]
     _check_runs("commutator", len(ab) + len(ba) - 2 * shared - merged)
     return GroupWord._from_runs(a.alphabet_size, _join(_inverse(ba[shared:]), ab[shared:]))
-
-
-def generator(alphabet_size: int, index: int) -> GroupWord:
-    return GroupWord(alphabet_size, (index,))
 
 
 def format_word(w: GroupWord) -> str:
@@ -409,12 +401,6 @@ class BasicCommutator:
         if self.is_leaf:
             return 1
         return self.left.weight + self.right.weight
-
-    def leaf_word(self) -> Monomial:
-        """The monomial read off the leaves left to right."""
-        if self.is_leaf:
-            return (self.gen,)
-        return self.left.leaf_word() + self.right.leaf_word()
 
     def __str__(self) -> str:
         if self.is_leaf:

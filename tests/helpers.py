@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import factorial, gcd
 
 from filtrate.coeff import ZZ
@@ -56,6 +57,20 @@ def brute_lyndon(alphabet_size: int, weight: int) -> list[tuple[int, ...]]:
         if all(w < w[i:] + w[:i] for i in range(1, weight)):
             out.append(w)
     return out
+
+
+def gcdseq_by_subsets(seq, n: int, i: int) -> int:
+    """e(n, i) of a sequence-gcd table: the gcd of the products of every
+    choice of n - i distinct entries among the first n - 1, listed one by one."""
+    if i == n:
+        return 1
+    g = 0
+    for subset in combinations(seq[: n - 1], n - i):
+        product = 1
+        for a in subset:
+            product *= a
+        g = gcd(g, product)
+    return g
 
 
 def necklace_by_mobius(m: int, n: int) -> int:
@@ -145,7 +160,7 @@ def series_inverse(series: TruncSeries) -> TruncSeries:
     Writes the input as c*(1 - beta) with beta of zero constant term, then
     sums the geometric series 1 + beta + beta^2 + ... to the cap by Horner.
     """
-    c0 = series.constant_term
+    c0 = series.coeffs.get((), 0)
     ring = series.ring
     if not is_unit(c0, ring):
         raise ValueError(f"constant term {c0} is not a unit in {ring}")

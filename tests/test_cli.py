@@ -593,6 +593,47 @@ def test_kernel_route_over_a_huge_alphabet():
     assert report["witness"] == {"degree": 1, "word": "x1", "coefficient": "1"}
 
 
+def test_sequence_gcd_table_at_a_long_level():
+    # every entry shares the prime 2, so no subset gcd reaches 1 early;
+    # the rows come from the recurrence, not from 2^39 subsets
+    proc, elapsed = run_child(["member", "--word", "x1^2", "--emap", "gcdseq:" + ",".join(["2"] * 39),
+                               "--level", "40", "--alphabet", "1"])
+    assert proc.returncode == 0 and proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert report["member"] is False
+    assert report["witness"] == {"degree": 1, "word": "x1", "coefficient": "2"}
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize("level, alphabet, cells", [
+    ("24", "2", "16772880"),
+    ("100000", "2", f"more than {MAX_CELLS}"),
+    ("1", "1000000000", f"more than {MAX_CELLS}"),
+])
+def test_product_sampler_over_the_cell_limit_exits_three(level, alphabet, cells):
+    proc, elapsed = run_child(["sample", "--scheme", "product:trivial", "--level", level,
+                               "--alphabet", alphabet, "--count", "1"])
+    assert proc.returncode == 3 and proc.stderr == ""
+    assert proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout)["error"] == {
+        "kind": "precondition",
+        "message": f"the product sampler at alphabet {alphabet}, level {level} needs {cells} cells"
+                   " (weight * necklace(alphabet, weight), summed over the weights),"
+                   f" over the limit of {MAX_CELLS}",
+    }
+    assert elapsed < 5
+
+
+@pytest.mark.parametrize("level, alphabet", [("20", "2"), ("1000000000", "1")])
+def test_product_sampler_under_the_cell_limit_answers(level, alphabet):
+    # one letter has a Lyndon word at weight 1 only, so no other weight is read
+    proc, elapsed = run_child(["sample", "--scheme", "product:trivial", "--level", level,
+                               "--alphabet", alphabet, "--count", "1"])
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert elapsed < 5
+    assert len(json.loads(proc.stdout)["words"]) == 1
+
+
 def test_member_long_conjugate_power(capsys):
     code, report, _ = run(capsys, [
         "member", "--word", "(x1*x2*x1^-1)^1000000000", "--level", "2", "--emap", "trivial",

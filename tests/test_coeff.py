@@ -8,8 +8,8 @@ from helpers import is_unit, rational_rank
 
 
 def test_ring_spec_validation():
-    assert RingSpec(0).is_integers
-    assert not RingSpec(5).is_integers
+    assert RingSpec(0) == ZZ
+    assert RingSpec(5) != ZZ
     with pytest.raises(ValueError):
         RingSpec(-1)
 

@@ -26,6 +26,7 @@ from filtrate.magnus import TruncSeries
 
 from helpers import (
     decompose_in_ideal,
+    gcdseq_by_subsets,
     random_descending_table,
     random_row_table,
     random_series,
@@ -60,6 +61,20 @@ def test_sequence_gcd_values():
     assert zeros.evaluate(3, 1) == 0
     assert zeros.evaluate(3, 2) == 2
     assert SequenceGcdEMap(()).row(1) == (1,)
+
+
+def test_sequence_gcd_matches_the_subset_definition():
+    # zeros and repeated primes included: an early gcd of 1 is rare
+    rng = random.Random(47)
+    checked = 0
+    for _ in range(300):
+        seq = [rng.choice((0, 0, 1, 2, 3, 4, 5, 6, 8, 9, 12, 30)) for _ in range(rng.randint(0, 9))]
+        e = SequenceGcdEMap(seq)
+        for n in range(1, len(seq) + 2):
+            for i in range(1, n + 1):
+                assert e.evaluate(n, i) == gcdseq_by_subsets(seq, n, i), (seq, n, i)
+                checked += 1
+    assert checked > 5000
 
 
 def test_sequence_gcd_is_symmetric_in_the_prefix():

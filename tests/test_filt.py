@@ -33,7 +33,6 @@ from filtrate.words import (
     basic_commutator,
     commutator,
     enumerate_monomials,
-    generator,
     lyndon_words,
     parse_word,
     realize,
@@ -337,7 +336,7 @@ def test_members_are_closed_under_the_group_operations():
     checked = 0
     for _ in range(100):
         g, h = rng.choice(pool), rng.choice(pool)
-        x = generator(2, rng.randint(1, 2))
+        x = GroupWord(2, (rng.randint(1, 2),))
         assert member_series(g * h, spec)
         assert member_series(g.inverse(), spec)
         assert member_series(x * g * x.inverse(), spec)
@@ -411,7 +410,7 @@ def _witness_pool(rng, e, level, k):
     pool += [random_reduced_word(rng, k, 4) ** min(e.evaluate(level, 1), 200) for _ in range(3)]
     budget = SampleBudget(count=4, max_factor_length=3)
     built = product_sampler(e, level, k, budget, seed=rng.randint(0, 10**6))
-    return pool + built + [generator(k, 1) * g for g in built]
+    return pool + built + [GroupWord(k, (1,)) * g for g in built]
 
 
 def test_routes_match_the_full_expansion_oracle():

@@ -11,7 +11,7 @@ from filtrate.magnus import (
     magnus,
     series_json,
 )
-from filtrate.words import GroupWord, basic_commutator, generator, lyndon_words, parse_word, realize
+from filtrate.words import GroupWord, basic_commutator, lyndon_words, parse_word, realize
 
 from helpers import magnus_by_letters, random_reduced_word, random_series, series_inverse
 
@@ -21,7 +21,7 @@ def s_one(cap=3, ring=ZZ, k=2):
 
 
 def s_gen(i, cap=3, ring=ZZ, k=2):
-    return TruncSeries.gen(ring, k, cap, i)
+    return TruncSeries(ring, k, cap, {(i,): 1})
 
 
 def test_construction_canonicalizes():
@@ -38,9 +38,9 @@ def test_construction_canonicalizes():
 def test_addition_and_scaling():
     a = s_one() + s_gen(1)
     b = a - a
-    assert b == TruncSeries.zero(ZZ, 2, 3)
+    assert b == TruncSeries(ZZ, 2, 3)
     assert a.scale(3).coeffs == {(): 3, (1,): 3}
-    assert a.scale(0) == TruncSeries.zero(ZZ, 2, 3)
+    assert a.scale(0) == TruncSeries(ZZ, 2, 3)
 
 
 def test_multiplication_examples():
@@ -48,9 +48,9 @@ def test_multiplication_examples():
     assert (x1 * x2).coeffs == {(1, 2): 1}
     assert (x1 * x2) != (x2 * x1)
     # truncation: cap 1 kills every product of two generators
-    y1 = TruncSeries.gen(ZZ, 2, 1, 1)
-    y2 = TruncSeries.gen(ZZ, 2, 1, 2)
-    assert (y1 * y2) == TruncSeries.zero(ZZ, 2, 1)
+    y1 = TruncSeries(ZZ, 2, 1, {(1,): 1})
+    y2 = TruncSeries(ZZ, 2, 1, {(2,): 1})
+    assert (y1 * y2) == TruncSeries(ZZ, 2, 1)
 
 
 def test_mismatched_operands_rejected():
@@ -107,10 +107,10 @@ def test_inverse_multiplies_back_to_one():
         ring = rng.choice((ZZ, RingSpec(6), RingSpec(9)))
         cap = rng.randint(1, 4)
         s = random_series(rng, ring, 2, cap)
-        unit = rng.choice((1, -1)) if ring.is_integers else rng.choice(
+        unit = rng.choice((1, -1)) if ring == ZZ else rng.choice(
             [u for u in range(1, ring.modulus + 1) if gcd(u, ring.modulus) == 1]
         )
-        s = s - TruncSeries(ring, 2, cap, {(): s.constant_term}) + TruncSeries(ring, 2, cap, {(): unit})
+        s = s - TruncSeries(ring, 2, cap, {(): s.coeffs.get((), 0)}) + TruncSeries(ring, 2, cap, {(): unit})
         inv = series_inverse(s)
         one = TruncSeries.one(ring, 2, cap)
         assert s * inv == one
@@ -121,7 +121,7 @@ def test_inverse_rejects_non_units():
     with pytest.raises(ValueError):
         series_inverse(s_one().scale(2))
     with pytest.raises(ValueError):
-        series_inverse(TruncSeries.zero(ZZ, 2, 3))
+        series_inverse(TruncSeries(ZZ, 2, 3))
     with pytest.raises(ValueError):
         series_inverse(TruncSeries(RingSpec(6), 2, 2, {(): 2}))
 
@@ -134,7 +134,7 @@ def test_geometric_series_identity():
         ring = rng.choice((ZZ, RingSpec(8)))
         cap = rng.randint(1, 4)
         beta = random_series(rng, ring, 2, cap)
-        beta = beta - TruncSeries(ring, 2, cap, {(): beta.constant_term})
+        beta = beta - TruncSeries(ring, 2, cap, {(): beta.coeffs.get((), 0)})
         one = TruncSeries.one(ring, 2, cap)
         total = one
         p = one
@@ -166,7 +166,7 @@ def test_magnus_matches_letter_by_letter_on_long_runs():
         for _ in range(rng.randint(0, 5)):
             i = rng.randint(1, k)
             e = rng.choice((1, -1)) * rng.randint(1, 2 * cap + 3)
-            g = g * generator(k, i) ** e
+            g = g * GroupWord(k, (i,)) ** e
             letters += [i if e > 0 else -i] * abs(e)
         s = magnus(g, ring, cap)
         assert s.coeffs == magnus_by_letters(letters, ring.modulus, cap), (g, ring, cap)
@@ -184,7 +184,7 @@ def test_magnus_coefficient_cancels_and_returns():
             g = GroupWord(2)
             letters = []
             for count, (i, e) in enumerate([(1, a), (2, 1), (1, m - a), (2, 1), (1, 1)], 1):
-                g = g * generator(2, i) ** e
+                g = g * GroupWord(2, (i,)) ** e
                 letters += [i] * e
                 s = magnus(g, ring, 3)
                 assert s.coeffs == magnus_by_letters(letters, m, 3), (m, a, count)
