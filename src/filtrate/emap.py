@@ -17,6 +17,10 @@ from typing import NamedTuple
 from .coeff import ZZ, divisible
 from .magnus import TruncSeries
 
+# the most bits a computed power entry (zass, const) may have; an entry is
+# refused from an upper bound on its bits, before the power is taken
+MAX_ENTRY_BITS = 10**5
+
 
 class CheckResult(NamedTuple):
     ok: bool
@@ -35,6 +39,17 @@ def _prime_factors(v: int) -> dict[int, int]:
     if v > 1:
         out[v] = out.get(v, 0) + 1
     return out
+
+
+def _entry_power(n: int, i: int, base: int, exponent: int) -> int:
+    """e(n, i) = base^exponent, or ValueError when its bits may exceed
+    MAX_ENTRY_BITS: base^exponent < 2^(exponent * bits(base))."""
+    if base > 1 and (bound := exponent * base.bit_length()) > MAX_ENTRY_BITS:
+        raise ValueError(
+            f"table entry e({n},{i}) has up to {bound} bits, "
+            f"over the limit of {MAX_ENTRY_BITS}"
+        )
+    return base ** exponent
 
 
 def _is_prime(v: int) -> bool:
@@ -81,7 +96,7 @@ class ConstantEMap(EMap):
         self.a = a
 
     def _value(self, n, i):
-        return self.a ** (n - i)
+        return _entry_power(n, i, self.a, n - i)
 
     def describe(self):
         return f"const:{self.a}"
@@ -148,7 +163,7 @@ class ZassenhausEMap(EMap):
         while v < n:
             v *= self.p
             j += 1
-        return self.p ** (self.t * j)
+        return _entry_power(n, i, self.p, self.t * j)
 
     def describe(self):
         return f"zass:{self.p},{self.t}"

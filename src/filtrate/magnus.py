@@ -2,8 +2,9 @@
 
 A series lives in R<<x1..xk>> with all terms of degree > cap discarded.
 The expansion sends xi to 1 + xi and xi^-1 to the geometric series
-(1 + xi)^-1 = 1 - xi + xi^2 - ..., truncated at the cap; a run xi^k goes
-to (1 + xi)^k = sum_j binom(k, j) xi^j in one step.
+(1 + xi)^-1 = 1 - xi + xi^2 - ..., truncated at the cap.  `magnus` takes a
+run xi^k in one step: it multiplies by (1 + xi)^k = sum_j binom(k, j) xi^j
+when k > 0, and divides by (1 + xi)^|k| when k < 0.
 """
 
 from __future__ import annotations
@@ -149,38 +150,48 @@ def coefficient(series: TruncSeries, w: Monomial) -> int:
 def magnus(g: GroupWord, ring: RingSpec, cap: int) -> TruncSeries:
     """The truncated Magnus expansion of a group word.
 
-    A run xi^k expands to (1 + xi)^k = sum_{j <= cap} binom(k, j) xi^j, with
-    the generalised binomial k(k-1)...(k-j+1)/j! when k < 0, so the word
-    costs one series product per run, left to right, however long the runs.
-    Each product updates the accumulated coefficients in place: a snapshot
-    of them supplies every term's left factor, so each reads its value from
-    before the run, and a coefficient that becomes 0 is dropped at once.
+    The coefficients are kept by degree, parts[d], and each run is applied
+    in place, so the word costs one pass per run, however long the runs.
+    A run xi^k with k > 0 multiplies by (1 + xi)^k: degree d gains
+    sum_j binom(k, j) parts[d-j] xi^j over 1 <= j <= min(k, d), and the
+    degrees are updated from the cap down, so each reads parts[d-j] from
+    before the run.  A run with k < 0 divides by (1 + xi)^|k|, whose
+    constant term is 1, so over every Z/m the quotient r is unique: degree d
+    of r is parts[d] - sum_j binom(|k|, j) r[d-j] xi^j, and the degrees are
+    updated from 1 up, so each reads parts[d-j] already divided.  Either
+    sign costs min(|k|, cap) terms, and a coefficient that becomes 0 is
+    dropped at once.
     """
     if cap < 1:
         raise ValueError(f"degree cap must be >= 1, got {cap}")
     m = ring.modulus
-    acc: dict[Monomial, int] = {(): 1}
+    parts: list[dict[Monomial, int]] = [{(): 1}] + [{} for _ in range(cap)]
     for i, k in g.runs:
-        # the run's terms of degree >= 1; its constant term 1 keeps acc
+        # (j, xi^j, +-binom(|k|, j)) for the run's nonzero binomials, j >= 1
+        n = abs(k)
         terms = []
-        c = k
-        for j in range(1, cap + 1):
+        c = 1
+        for j in range(1, min(n, cap) + 1):
+            c = c * (n - j + 1) // j
             if r := c % m if m else c:
-                terms.append((j, (i,) * j, r))
-            c = c * (k - j) // (j + 1)
-        for u, a in list(acc.items()):
-            room = cap - len(u)
-            for j, tail, c in terms:
-                if j > room:
+                terms.append((j, (i,) * j, r if k > 0 else -r))
+        for d in range(cap, 0, -1) if k > 0 else range(1, cap + 1):
+            part = parts[d]
+            for j, tail, b in terms:
+                if j > d:
                     break
-                w = u + tail
-                v = acc.get(w, 0) + a * c
-                if m:
-                    v %= m
-                if v:
-                    acc[w] = v
-                else:
-                    acc.pop(w, None)
+                for u, a in parts[d - j].items():
+                    w = u + tail
+                    v = part.get(w, 0) + a * b
+                    if m:
+                        v %= m
+                    if v:
+                        part[w] = v
+                    else:
+                        part.pop(w, None)
+    acc: dict[Monomial, int] = {}
+    for part in parts:
+        acc.update(part)
     return TruncSeries._trusted(ring, g.alphabet_size, cap, acc)
 
 

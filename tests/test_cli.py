@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -8,6 +9,7 @@ import pytest
 
 import filtrate.cli as cli
 from filtrate import filt
+from filtrate.emap import MAX_ENTRY_BITS
 from filtrate.magnus import magnus
 from filtrate.massey import MAX_CELLS
 from filtrate.words import (
@@ -24,14 +26,19 @@ from filtrate.words import (
 from helpers import pairing_rows_by_magnus
 
 
-def run_child(argv):
+def run_child(argv, address_space=None):
     """Run the CLI in a child process, so the time and memory are those of
-    a fresh command; returns the finished process and its wall time."""
+    a fresh command, with its address space capped at `address_space` bytes
+    if given; returns the finished process and its wall time."""
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-c", "from filtrate.cli import run; run()", *argv],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        preexec_fn=cap_memory if address_space else None,
     )
     return proc, time.perf_counter() - start
 
@@ -632,6 +639,35 @@ def test_product_sampler_under_the_cell_limit_answers(level, alphabet):
     assert proc.returncode == 0 and proc.stderr == ""
     assert elapsed < 5
     assert len(json.loads(proc.stdout)["words"]) == 1
+
+
+BIG_BASE = "7" * 4000  # 13288 bits, so a^8 is past the limit and a^7 is not
+
+
+@pytest.mark.parametrize("emap, level, entry, bound", [
+    ("zass:2,1000000", "3", "e(2,1)", 2 * 10**6),
+    ("zass:2,1" + "0" * 30, "2", "e(2,1)", 2 * 10**30),
+    # the descent check refuses row 9 before the route reads row 10
+    ("const:" + BIG_BASE, "10", "e(9,1)", 8 * int(BIG_BASE).bit_length()),
+], ids=["zass-t-1e6", "zass-t-1e30", "const-4000-digits"])
+def test_oversized_table_entries_exit_three(emap, level, entry, bound):
+    # the bound on an entry's bits is checked before the power is taken
+    proc, elapsed = run_child(["member", "--word", "[x1,x2]", "--emap", emap, "--level", level,
+                               "--alphabet", "2"], address_space=1 << 30)
+    assert proc.returncode == 3 and proc.stderr == ""
+    assert proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout)["error"] == {
+        "kind": "precondition",
+        "message": f"table entry {entry} has up to {bound} bits, over the limit of {MAX_ENTRY_BITS}",
+    }
+    assert elapsed < 1
+
+
+def test_table_entries_under_the_bit_limit_answer(capsys):
+    code, report, _ = run(capsys, ["member", "--word", "[x1,x2]", "--emap", "zass:2,1000",
+                                   "--level", "3", "--alphabet", "2"])
+    assert code == 0
+    assert report["witness"] == {"degree": 2, "word": "x1x2", "coefficient": "1"}
 
 
 def test_member_long_conjugate_power(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from filtrate.coeff import RingSpec, ZZ, divisible
 from filtrate.emap import (
+    MAX_ENTRY_BITS,
     ConstantEMap,
     ExplicitEMap,
     SequenceGcdEMap,
@@ -110,6 +111,20 @@ def test_zassenhaus_values():
         ZassenhausEMap(4, 1)
     with pytest.raises(ValueError):
         ZassenhausEMap(2, 0)
+
+
+def test_power_entries_are_refused_past_the_bit_limit():
+    # the bound is exponent * bits(base): 2^t is bounded by 2t bits
+    half = MAX_ENTRY_BITS // 2
+    assert ZassenhausEMap(2, half).evaluate(2, 1) == 2 ** half
+    with pytest.raises(ValueError, match=rf"^table entry e\(2,1\) has up to {2 * half + 2} bits"):
+        ZassenhausEMap(2, half + 1).evaluate(2, 1)
+    assert ConstantEMap(3).evaluate(half + 1, 1) == 3 ** half
+    with pytest.raises(ValueError, match=rf"^table entry e\({half + 2},1\)"):
+        ConstantEMap(3).evaluate(half + 2, 1)
+    # bases 0 and 1 give entries 0 and 1 at any level
+    assert ConstantEMap(1).evaluate(10**9, 1) == 1
+    assert ConstantEMap(0).evaluate(10**9, 1) == 0
 
 
 def test_explicit_table_validation():

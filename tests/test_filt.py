@@ -459,6 +459,37 @@ def test_routes_match_the_full_expansion_oracle():
     assert degrees == {None, 1, 3}, degrees
 
 
+def test_routes_match_the_oracle_on_inverse_runs():
+    # the series route divides by (1 + xi)^|e| on a negative run and the
+    # kernel route multiplies by binom(e, j) with e < 0: two algorithms,
+    # checked against one letter-by-letter expansion
+    rng = random.Random(59)
+
+    def inverse_word(k, length):
+        return GroupWord(k, [-rng.randint(1, k) for _ in range(length)])
+
+    tables = (TrivialEMap(), ZassenhausEMap(2, 1), ZassenhausEMap(3, 1), ConstantEMap(6),
+              SequenceGcdEMap((3, 3, 2, 2, 2, 2)))
+    seen = {"degree 1": 0, "higher": 0, "member": 0}
+    for e in tables:
+        for level in range(2, 7):
+            spec = FiltrationSpec(e, level)
+            k = 3 if level < 5 else 2
+            q = min(e.evaluate(level, 1), 12) or 1
+            u, v, w = (inverse_word(k, 3) for _ in range(3))
+            pool = [inverse_word(k, 6), u ** q, (u * v) ** -q, commutator(u, v) ** -1,
+                    commutator(commutator(u, v), w) ** -2,
+                    commutator(u ** q, v ** -q), GroupWord(k, (1,)) * u ** q]
+            # one letter is one run, however long: x1^-N with N past every cap
+            pool += [GroupWord(1, (-1,)) ** ((e.evaluate(level, 1) or 1) * m) for m in (1, 7, 1000)]
+            for g in pool:
+                series, kernel = membership_witnesses(g, e, level)
+                assert series_witness(g, spec) == series, (g, e, level)
+                assert kernel_witness(g, spec) == kernel, (g, e, level)
+                seen["member" if series is None else "degree 1" if series[0] == 1 else "higher"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
 def test_kernel_route_reads_rows_that_are_not_chains():
     # the route reads e(n, d) alone, so a row whose moduli 4 and 6 are not a
     # chain has it work over their lcm 12, above each of them; e(4, 1) = 2

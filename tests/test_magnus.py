@@ -174,6 +174,29 @@ def test_magnus_matches_letter_by_letter_on_long_runs():
         assert TruncSeries(ring, k, cap, s.coeffs) == s
 
 
+def test_magnus_divides_negative_runs_like_the_geometric_series():
+    # a run xi^-s divides by (1 + xi)^s; the oracle multiplies by the
+    # alternating series once per inverse letter.  |s| straddles the cap
+    rng = random.Random(40)
+    for cap in range(1, 7):
+        sizes = sorted({1, cap - 1, cap, cap + 1, 3 * cap} - {0})
+        for k in (1, 2, 3):
+            for modulus in (0, 1, 2, 4, 6, 9, 64):
+                ring = RingSpec(modulus)
+                for mixed in (False, True):
+                    letters = []
+                    i = 0
+                    for s in rng.sample(sizes, len(sizes)):
+                        # a letter unlike the last one, so the run keeps |s|
+                        i = rng.choice([j for j in range(1, k + 1) if j != i] or [1])
+                        sign = rng.choice((1, -1)) if mixed else -1
+                        letters += [sign * i] * s
+                    g = GroupWord(k, letters)
+                    assert mixed or all(e < 0 for _, e in g.runs)
+                    assert magnus(g, ring, cap).coeffs == magnus_by_letters(letters, modulus, cap), \
+                        (g, ring, cap)
+
+
 def test_magnus_coefficient_cancels_and_returns():
     # x1^a x2 x1^(m-a) brings the coefficient at x1 to m, which is 0 in Z/m,
     # and the closing x1 makes it 1 again; every prefix is checked, so the
