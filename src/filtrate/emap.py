@@ -27,16 +27,18 @@ class CheckResult(NamedTuple):
     violation: tuple | None
 
 
-def _prime_factors(v: int) -> dict[int, int]:
-    """Prime factorization of v >= 1 by trial division."""
+def _prime_factors(v: int, bound: int | None = None) -> dict[int, int]:
+    """The primes p <= bound dividing v >= 1 (all of them when bound is None),
+    with multiplicities, by trial division that tries no divisor past bound."""
+    bound = v if bound is None else bound
     out: dict[int, int] = {}
     d = 2
-    while d * d <= v:
+    while d * d <= v and d <= bound:
         while v % d == 0:
             out[d] = out.get(d, 0) + 1
             v //= d
         d += 1 if d == 2 else 2
-    if v > 1:
+    if 1 < v <= bound:
         out[v] = out.get(v, 0) + 1
     return out
 
@@ -111,8 +113,8 @@ class SequenceGcdEMap(EMap):
     Symmetric in the first n-1 entries of the sequence.  Row n comes from
     Lazard's recurrence, one entry at a time: with g_j the gcd of the
     products of j distinct entries seen so far (g_0 = 1, and g_j = 0 while
-    there are none), an entry a sends g_j to gcd(g_j, a * g_{j-1}).  Rows
-    are memoized.
+    there are none), an entry a sends g_j to gcd(g_j, a * g_{j-1}).  A row
+    costs O(n^2) gcds, and a single entry costs its whole row.
     """
 
     def __init__(self, seq):
@@ -120,24 +122,22 @@ class SequenceGcdEMap(EMap):
         if any(a < 0 for a in seq):
             raise ValueError("sequence entries must be >= 0")
         self.seq = seq
-        self._rows: dict[int, list[int]] = {}
 
-    def _value(self, n, i):
-        if i == n:
-            return 1
+    def row(self, n):
         if len(self.seq) < n - 1:
             raise ValueError(
                 f"need {n - 1} sequence entries for level {n}, have {len(self.seq)}"
             )
-        row = self._rows.get(n)
-        if row is None:
-            row = [1] + [0] * (n - 1)
-            for a in self.seq[: n - 1]:
-                # from the top down, so each step reads g_{j-1} before a
-                for j in range(n - 1, 0, -1):
-                    row[j] = gcd(row[j], a * row[j - 1])
-            self._rows[n] = row
-        return row[n - i]
+        g = [1] + [0] * (n - 1)
+        for a in self.seq[: n - 1]:
+            # from the top down, so each step reads g_{j-1} before a
+            for j in range(n - 1, 0, -1):
+                g[j] = gcd(g[j], a * g[j - 1])
+        # e(n, i) = g_{n-i}
+        return tuple(reversed(g))
+
+    def _value(self, n, i):
+        return self.row(n)[i - 1]
 
     def describe(self):
         return "gcdseq:" + ",".join(str(a) for a in self.seq)
@@ -256,7 +256,8 @@ def check_condition_iii(e: EMap, n_max: int) -> CheckResult:
             v = row[i - 1]
             if v == 0:
                 continue
-            for p, s in _prime_factors(v).items():
+            # a prime p with i*p > n has no r to check
+            for p, s in _prime_factors(v, n // i).items():
                 target = i * p
                 r = 1
                 while target <= n and r <= s:
@@ -275,14 +276,14 @@ def prefix_gcds(values) -> list[int]:
     return list(accumulate(values, gcd, initial=0))[1:]
 
 
-def ideal_divisors(e: EMap, n: int) -> list[int]:
+def ideal_divisors(row) -> list[int]:
     """The divisors gcd(e(n, 1..d)) of the level-n ideal for d = 1, 2, ...,
-    up to its last degree whose divisor is not 1.
+    up to its last degree whose divisor is not 1, from row n of the table.
 
     The running gcd never leaves 1 once it gets there, so the degrees past
     the list, and degrees >= n, constrain nothing.
     """
-    divisors = prefix_gcds(e.evaluate(n, i) for i in range(1, n))
+    divisors = prefix_gcds(row[:-1])
     while divisors and divisors[-1] == 1:
         divisors.pop()
     return divisors
@@ -304,15 +305,13 @@ def normalize(e: EMap, n_max: int) -> ExplicitEMap:
 
 
 def divisor_witness(s: TruncSeries, divisors) -> tuple | None:
-    """First (length, lex) term of s with a nonzero constant, or of degree
-    d <= len(divisors) not divisible by divisors[d - 1]; None if there is none."""
+    """First (length, lex) term of s of degree 1 <= d <= len(divisors) not
+    divisible by divisors[d - 1], or None; the constant term is not read."""
     for w, c in s.sorted_terms():
         d = len(w)
-        if d == 0:
-            return (0, w, c)
         if d > len(divisors):
             break
-        if not divisible(c, divisors[d - 1]):
+        if d and not divisible(c, divisors[d - 1]):
             return (d, w, c)
     return None
 
@@ -330,11 +329,13 @@ def ideal_member_witness(s: TruncSeries, e: EMap, n: int):
         raise ValueError(f"level must be >= 1, got {n}")
     if s.ring != ZZ:
         raise ValueError(f"ideal membership is over Z, series is over {s.ring}")
-    divisors = ideal_divisors(e, n)
+    divisors = ideal_divisors(e.row(n))
     if s.cap < len(divisors):
         raise ValueError(
             f"cap {s.cap} too small: membership at level {n} reads degrees up to {len(divisors)}"
         )
+    if c := s.coeffs.get(()):
+        return (0, (), c)
     return divisor_witness(s, divisors)
 
 

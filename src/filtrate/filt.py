@@ -2,7 +2,8 @@
 
 The level-n term of the filtration attached to a descending exponent table
 is the set of words whose Magnus expansion minus 1 lies in the level-n
-ideal.  Membership is decided by two deliberately different routes:
+ideal, which row n of the table fixes; a FiltrationSpec reads that row once.
+Membership is decided by two deliberately different routes:
 
 * the series route checks the per-degree divisibility of the expansion
   over Z directly.  It reads degree 1 from an expansion at cap 1 first,
@@ -30,20 +31,13 @@ The two must agree on every input; a disagreement is a bug, never noise.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from math import comb, lcm
 
 from .coeff import RingSpec, ZZ
-from .emap import (
-    EMap,
-    _is_prime,
-    check_descending,
-    divisor_witness,
-    ideal_divisors,
-    ideal_member_witness,
-)
-from .magnus import TruncSeries, magnus
+from .emap import EMap, _is_prime, check_descending, divisor_witness, ideal_divisors
+from .magnus import magnus
 from .massey import MAX_CELLS, check_cells, necklace
 from .words import (
     GroupWord,
@@ -76,10 +70,13 @@ def phi(w: Monomial, g: GroupWord, ring: RingSpec) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class FiltrationSpec:
-    """An exponent table and a level: one term of a filtration."""
+    """An exponent table and a level: one term of a filtration.  Building it
+    checks that rows 1..level descend and keeps row `level` as `row`, which
+    is all either route reads of the table."""
 
     emap: EMap
     level: int
+    row: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.level < 1:
@@ -90,27 +87,28 @@ class FiltrationSpec:
                 f"exponent table is not descending up to level {self.level}: "
                 f"first violation at {result.violation}"
             )
+        object.__setattr__(self, "row", self.emap.row(self.level))
 
 
 def series_witness(g: GroupWord, spec: FiltrationSpec):
     """Failing (degree, monomial, coefficient) on the series route, or None.
 
-    Degree 1 is read first, from an expansion at cap 1.  Only if it passes
-    is the word expanded again, up to the last degree whose divisor is not
-    1; the degrees above it cannot fail.  An expansion at cap c is exact in
-    every degree up to c, so the witness is the first failing term in
-    (length, lex) order, as if every degree below n had been expanded.
+    The divisors come from `spec.row`.  Degree 1 is read first, from an
+    expansion at cap 1.  Only if it passes is the word expanded again, up
+    to the last degree whose divisor is not 1; the degrees above it cannot
+    fail.  `divisor_witness` skips the constant term 1 of each expansion.
+    An expansion at cap c is exact in every degree up to c, so the witness
+    is the first failing term in (length, lex) order, as if every degree
+    below n had been expanded.
     """
-    divisors = ideal_divisors(spec.emap, spec.level)
+    divisors = ideal_divisors(spec.row)
     if not divisors:
         return None
-    one = TruncSeries.one(ZZ, g.alphabet_size, 1)
-    witness = divisor_witness(magnus(g, ZZ, 1) - one, divisors[:1])
+    witness = divisor_witness(magnus(g, ZZ, 1), divisors[:1])
     top = len(divisors)
     if witness is not None or top == 1:
         return witness
-    delta = magnus(g, ZZ, top) - TruncSeries.one(ZZ, g.alphabet_size, top)
-    return ideal_member_witness(delta, spec.emap, spec.level)
+    return divisor_witness(magnus(g, ZZ, top), divisors)
 
 
 def member_series(g: GroupWord, spec: FiltrationSpec) -> bool:
@@ -171,14 +169,14 @@ def kernel_witness(g: GroupWord, spec: FiltrationSpec):
 
     The image of g attached to a word w of length d is the product of the
     images of its runs: x_i^e goes to the unipotent matrix with binom(e, b-a)
-    at (a, b) when w[a..b-1] is all i.  A degree d with e(n, d) = 1 is
-    skipped: over the zero ring Z/1 every matrix is the identity.  Degree 1
-    is read first, from the exponent sum of each letter; the witness is the
-    least letter whose sum is nonzero mod e(n, 1).  Only if it passes does
-    one pass over the runs build the top rows of every word up to the last
-    degree top < n with e(n, d) != 1 (`_top_rows`), over Z/L with L the lcm
-    of those e(n, d) with d >= 2 (Z if one is 0); rows of more than
-    MAX_CELLS entries in all raise ValueError before any is built.
+    at (a, b) when w[a..b-1] is all i; e(n, d) comes from `spec.row`.  A
+    degree d with e(n, d) = 1 is skipped: over Z/1 every matrix is the
+    identity.  Degree 1 is read first, from the exponent sum of each letter;
+    the witness is the least letter whose sum is nonzero mod e(n, 1).  Only
+    if it passes does one pass over the runs build the top rows of every
+    word up to the last degree top < n with e(n, d) != 1 (`_top_rows`), over
+    Z/L with L the lcm of those e(n, d) with d >= 2 (Z if one is 0); rows of
+    more than MAX_CELLS entries in all raise ValueError before any is built.
 
     Entry (a, b) of w's matrix is the top-right entry of the image attached
     to w[a..b-1], and every word of length <= d is a subword of some word
@@ -191,7 +189,7 @@ def kernel_witness(g: GroupWord, spec: FiltrationSpec):
     """
     n = spec.level
     k = g.alphabet_size
-    first = spec.emap.evaluate(n, 1) if n > 1 else 1
+    first = spec.row[0] if n > 1 else 1
     if first != 1:
         sums: dict[int, int] = {}
         for i, e in g.runs:
@@ -199,7 +197,7 @@ def kernel_witness(g: GroupWord, spec: FiltrationSpec):
         for i in sorted(sums):
             if s := sums[i] % first if first else sums[i]:
                 return (1, (i,), s)
-    moduli = {d: m for d in range(2, n) if (m := spec.emap.evaluate(n, d)) != 1}
+    moduli = {d: m for d, m in enumerate(spec.row[1:n - 1], 2) if m != 1}
     if not moduli:
         return None
     top = max(moduli)
@@ -234,14 +232,17 @@ def member_kernels(g: GroupWord, spec: FiltrationSpec) -> bool:
     return kernel_witness(g, spec) is None
 
 
+# the most factors in a sampled product; each sample draws its count from 1..FANOUT
+FANOUT = 2
+
+
 @dataclass(frozen=True)
 class SampleBudget:
     count: int = 30
     max_factor_length: int = 6
-    fanout: int = 2
 
     def __post_init__(self):
-        if self.count < 0 or self.max_factor_length < 1 or self.fanout < 1:
+        if self.count < 0 or self.max_factor_length < 1:
             raise ValueError("budget fields out of range")
 
 
@@ -297,7 +298,7 @@ def _sample_element(scheme, n, alphabet_size, budget, rng) -> GroupWord:
     if n == 1:
         return random_word(alphabet_size, budget.max_factor_length, rng)
     out = GroupWord(alphabet_size)
-    for _ in range(rng.randint(1, budget.fanout)):
+    for _ in range(rng.randint(1, FANOUT)):
         f = scheme.power_exponent(n)
         # a zero power exponent generates only the trivial subgroup, so the
         # power option disappears and the factor must be a commutator
@@ -319,7 +320,7 @@ def sample_recursive(
 ) -> list[GroupWord]:
     """Random elements of the level-n recursion subgroup, members by construction.
 
-    Each sample is a product of at most fanout factors, every factor either a
+    Each sample is a product of at most FANOUT factors, every factor either a
     power_exponent-th power from the power_level or a commutator across an
     allowed splitting; recursion bottoms out at level 1 with short random
     words.  Deterministic for a fixed seed.
@@ -352,8 +353,9 @@ def product_sampler(
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
     k = alphabet_size
-    top = level if k > 1 else 1
-    weights = [i for i in range(1, top + 1) if e.evaluate(level, i) != 0]
+    # on one letter only weight 1 can be drawn, so only e(n, 1) is read
+    row = e.row(level) if k > 1 else (e.evaluate(level, 1),)
+    weights = [i for i, v in enumerate(row, 1) if v != 0]
     # there are about k**i / i Lyndon words of weight i, so past these sizes
     # the heaviest weight alone is over the limit
     over = weights and (k > MAX_CELLS or k > 1 and weights[-1] > MAX_CELLS.bit_length())
@@ -367,9 +369,9 @@ def product_sampler(
     out = []
     for _ in range(budget.count):
         w = GroupWord(k)
-        for _ in range(rng.randint(1, budget.fanout)):
+        for _ in range(rng.randint(1, FANOUT)):
             i = rng.choice(weights)
             u = realize(basic_commutator(rng.choice(pools[i])), k)
-            w = w * u ** e.evaluate(level, i)
+            w = w * u ** row[i - 1]
         out.append(w)
     return out

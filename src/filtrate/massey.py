@@ -19,6 +19,8 @@ colors.  `pairing_rank` checks exactly this, and eliminates when it fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import prod
 
 from .coeff import integer_rank
 from .emap import _prime_factors
@@ -37,30 +39,14 @@ from .words import (
 MAX_CELLS = 10**7
 
 
-def _mobius(d: int) -> int:
-    factors = _prime_factors(d)
-    if any(m > 1 for m in factors.values()):
-        return 0
-    return -1 if len(factors) % 2 else 1
-
-
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def necklace(m: int, n: int) -> int:
-    """Aperiodic necklaces on n beads in m colors: (1/n) sum mu(d) m^(n/d)."""
+    """Aperiodic necklaces on n beads in m colors: (1/n) sum mu(d) m^(n/d),
+    where mu(d) = (-1)^r on the products d of r distinct primes of n, else 0."""
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got ({m}, {n})")
-    total = sum(_mobius(d) * m ** (n // d) for d in _divisors(n))
+    primes = list(_prime_factors(n))
+    total = sum((-1) ** r * m ** (n // prod(c))
+                for r in range(len(primes) + 1) for c in combinations(primes, r))
     # the divisor sum is always a multiple of n; a remainder is a bug
     assert total % n == 0, (m, n, total)
     return total // n

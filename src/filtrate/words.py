@@ -210,6 +210,19 @@ def _read_int(text: str, start: int, missing: str, signed: bool = False) -> tupl
         raise WordSyntaxError(f"integer of {pos - first} digits too long to read", first) from None
 
 
+def _read_generator(text: str, pos: int, alphabet_size: int) -> tuple[int, int]:
+    """The index of the generator 'x<index>' at text[pos:] and the position
+    after it; raises WordSyntaxError at the index when it is missing or
+    outside x1..x<alphabet_size>."""
+    start = pos + 1
+    index, pos = _read_int(text, start, "expected a generator index after 'x'")
+    if not 1 <= index <= alphabet_size:
+        raise WordSyntaxError(
+            f"generator x{index} outside alphabet of size {alphabet_size}", start
+        )
+    return index, pos
+
+
 def parse_word(text: str, alphabet_size: int) -> GroupWord:
     """Parse a word expression over x1..x<alphabet_size>.
 
@@ -251,12 +264,7 @@ def parse_word(text: str, alphabet_size: int) -> GroupWord:
             pos += 1
             continue
         if ch == "x":
-            start = pos + 1
-            index, pos = _read_int(text, start, "expected a generator index after 'x'")
-            if not 1 <= index <= alphabet_size:
-                raise WordSyntaxError(
-                    f"generator x{index} outside alphabet of size {alphabet_size}", start
-                )
+            index, pos = _read_generator(text, pos, alphabet_size)
             atom = GroupWord(alphabet_size, (index,))
         elif ch == "e":
             pos += 1
@@ -323,12 +331,7 @@ def parse_monomial(text: str, alphabet_size: int) -> Monomial:
     while pos < len(text):
         if text[pos] != "x":
             raise WordSyntaxError("expected 'x'", pos)
-        start = pos + 1
-        index, pos = _read_int(text, start, "expected a generator index after 'x'")
-        if not 1 <= index <= alphabet_size:
-            raise WordSyntaxError(
-                f"generator x{index} outside alphabet of size {alphabet_size}", start
-            )
+        index, pos = _read_generator(text, pos, alphabet_size)
         out.append(index)
     return tuple(out)
 

@@ -214,6 +214,42 @@ def random_series(rng: random.Random, ring, alphabet_size: int, cap: int,
     return TruncSeries(ring, alphabet_size, cap, coeffs)
 
 
+def condition_iii_by_factoring(e, n_max: int):
+    """The first violation (n, i, r, p) of the valuation condition, or None.
+
+    Every nonzero entry is factored in full, by trying each p from 2 until
+    nothing is left, and every r >= 1 with i*p^r <= n and r <= v_p(e(n, i))
+    is checked: v_p(e(n, i)) - r >= v_p(e(n, i*p^r)), where v_p(0) is
+    infinite and so always breaks it.
+    """
+    def valuation(v, p):
+        r = 0
+        while v % p == 0:
+            v //= p
+            r += 1
+        return r
+
+    for n in range(1, n_max + 1):
+        for i in range(1, n + 1):
+            v = e.evaluate(n, i)
+            primes, rest, p = [], v, 2
+            while rest > 1:
+                if rest % p == 0:
+                    primes.append(p)
+                    while rest % p == 0:
+                        rest //= p
+                p += 1
+            for p in primes:
+                s = valuation(v, p)
+                r = 1
+                while i * p ** r <= n and r <= s:
+                    other = e.evaluate(n, i * p ** r)
+                    if other == 0 or s - r < valuation(other, p):
+                        return (n, i, r, p)
+                    r += 1
+    return None
+
+
 def random_descending_table(rng: random.Random, n_max: int,
                             multipliers=(0, 1, 1, 2, 2, 3, 4, 6)) -> ExplicitEMap:
     """A random table with e(n, n) = 1 built downward by integer multipliers.

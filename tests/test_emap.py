@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -26,6 +27,7 @@ from filtrate.emap import (
 from filtrate.magnus import TruncSeries
 
 from helpers import (
+    condition_iii_by_factoring,
     decompose_in_ideal,
     gcdseq_by_subsets,
     random_descending_table,
@@ -191,6 +193,39 @@ def test_check_condition_iii():
     assert not result.ok and result.violation == (4, 1, 1, 2)
 
 
+def test_condition_iii_matches_full_factoring():
+    # the audit leaves primes p with i*p > n unfactored, since no r >= 1 has
+    # i*p^r <= n; an oracle that factors every entry in full must agree
+    rng = random.Random(61)
+    verdicts = set()
+    for _ in range(400):
+        n_max = rng.randint(2, 8)
+        if rng.random() < 0.5:
+            multipliers = (0, 1, 2, 3, 4, 5, 7, 9, 25, 97, 101)
+            e = random_descending_table(rng, n_max, multipliers=multipliers)
+        else:
+            e = random_row_table(rng, n_max, bound=250)
+        expected = condition_iii_by_factoring(e, n_max)
+        assert check_condition_iii(e, n_max) == (expected is None, expected), e.table
+        verdicts.add(expected is None)
+    assert verdicts == {True, False}
+    for e in (TrivialEMap(), ConstantEMap(6), SequenceGcdEMap((3, 3, 2, 2, 2, 2, 5, 9, 4, 7, 2)),
+              ZassenhausEMap(2, 1), ZassenhausEMap(3, 2)):
+        expected = condition_iii_by_factoring(e, 12)
+        assert check_condition_iii(e, 12) == (expected is None, expected), e
+
+
+def test_condition_iii_does_not_factor_large_primes(tmp_path):
+    # p^t with a large prime p: trial division up to p itself took seconds
+    p = 100000007
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps([{"n": 1, "values": [1]}, {"n": 2, "values": [p * p, 1]}]))
+    start = time.perf_counter()
+    assert check_condition_iii(parse_emap(f"file:{path}"), 2).ok
+    assert check_condition_iii(ConstantEMap(1000003), 40).ok
+    assert time.perf_counter() - start < 1
+
+
 def test_condition_iii_implies_binomial():
     rng = random.Random(43)
     seen_pass = 0
@@ -263,12 +298,12 @@ def test_ideal_divisors_stop_at_the_last_constrained_degree():
     assert prefix_gcds([0, 0]) == [0, 0]
     e = SequenceGcdEMap((3, 3, 2, 2, 2, 2))
     assert e.row(7) == (144, 24, 4, 2, 1, 1, 1)
-    assert ideal_divisors(e, 7) == [144, 24, 4, 2]
-    assert ideal_divisors(TrivialEMap(), 4) == [0, 0, 0]
-    assert ideal_divisors(ConstantEMap(1), 5) == []
-    assert ideal_divisors(TrivialEMap(), 1) == []
+    assert ideal_divisors(e.row(7)) == [144, 24, 4, 2]
+    assert ideal_divisors(TrivialEMap().row(4)) == [0, 0, 0]
+    assert ideal_divisors(ConstantEMap(1).row(5)) == []
+    assert ideal_divisors(TrivialEMap().row(1)) == []
     # the prefix gcd, not the raw entry: gcd(4, 6) = 2, then gcd(2, 3) = 1
-    assert ideal_divisors(ExplicitEMap({4: (4, 6, 3, 1)}), 4) == [4, 2]
+    assert ideal_divisors(ExplicitEMap({4: (4, 6, 3, 1)}).row(4)) == [4, 2]
 
 
 def test_ideal_member_witness_needs_only_the_constrained_degrees():

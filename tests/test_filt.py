@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import permutations
 from types import SimpleNamespace
@@ -7,10 +8,12 @@ import pytest
 from filtrate.coeff import RingSpec, ZZ
 from filtrate.emap import (
     ConstantEMap,
+    EMap,
     ExplicitEMap,
     SequenceGcdEMap,
     TrivialEMap,
     ZassenhausEMap,
+    parse_emap,
 )
 from filtrate import filt
 from filtrate.filt import (
@@ -490,12 +493,45 @@ def test_routes_match_the_oracle_on_inverse_runs():
     assert min(seen.values()) >= 20, seen
 
 
+def test_routes_read_only_the_row_the_spec_keeps(monkeypatch, tmp_path):
+    rng = random.Random(60)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps([{"n": n, "values": list(values)}
+                                for n, values in random_descending_table(rng, 7).table.items()]))
+    tables = (TrivialEMap(), ConstantEMap(6), SequenceGcdEMap((3, 3, 2, 2, 2, 2)),
+              ZassenhausEMap(2, 1), parse_emap(f"file:{path}"))
+    cases = [(FiltrationSpec(e, level), _witness_pool(rng, e, level, 2))
+             for e in tables for level in range(1, 8)]
+    reads = []
+
+    def counted(method):
+        def reading(self, *args):
+            reads.append((self, method.__name__, args))
+            return method(self, *args)
+        return reading
+
+    for cls, name in ((EMap, "evaluate"), (EMap, "row"), (SequenceGcdEMap, "row")):
+        monkeypatch.setattr(cls, name, counted(getattr(cls, name)))
+    # building a spec reads the table, and the counter sees it
+    FiltrationSpec(tables[-1], 3)
+    assert reads
+    reads.clear()
+    degrees = set()
+    for spec, pool in cases:
+        for g in pool:
+            series = series_witness(g, spec)
+            assert (kernel_witness(g, spec) is None) == (series is None), (g, spec)
+            degrees.add(None if series is None else min(series[0], 2))
+    assert reads == []
+    assert degrees == {None, 1, 2}, degrees
+
+
 def test_kernel_route_reads_rows_that_are_not_chains():
     # the route reads e(n, d) alone, so a row whose moduli 4 and 6 are not a
     # chain has it work over their lcm 12, above each of them; e(4, 1) = 2
     # leaves exponent sums that are nonzero mod 4
     e = ExplicitEMap({4: (2, 4, 6, 1)})
-    spec = SimpleNamespace(emap=e, level=4)
+    spec = SimpleNamespace(emap=e, level=4, row=e.row(4))
     rng = random.Random(58)
     pool = [random_reduced_word(rng, 2, 10) ** power for power in (2, 12) for _ in range(20)]
     pool += [commutator(random_reduced_word(rng, 2, 4), random_reduced_word(rng, 2, 4)) ** power
@@ -527,7 +563,8 @@ def test_a_degree_can_fail_on_its_longest_row_alone():
         assert not any(c % m if m else c for w, c in coeffs.items() if 0 < len(w) < d), (g, e, level)
         _, kernel = membership_witnesses(g, e, level)
         assert kernel is not None and kernel[0] == d, (g, e, level, kernel)
-        assert kernel_witness(g, SimpleNamespace(emap=e, level=level)) == kernel, (g, e, level)
+        spec = SimpleNamespace(emap=e, level=level, row=e.row(level))
+        assert kernel_witness(g, spec) == kernel, (g, e, level)
 
 
 def test_expansions_stop_at_the_degrees_that_can_decide(monkeypatch):
