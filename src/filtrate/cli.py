@@ -29,7 +29,14 @@ from functools import cache
 
 from . import __version__
 from .coeff import parse_ring
-from .emap import check_binomial, check_condition_iii, check_descending, parse_emap, spec_ints
+from .emap import (
+    LimitError,
+    check_binomial,
+    check_condition_iii,
+    check_descending,
+    parse_emap,
+    spec_ints,
+)
 from .filt import (
     AFiltration,
     FiltrationSpec,
@@ -96,10 +103,13 @@ def _at_least(low: int):
 
 
 def _flag_type(parse):
-    """A type= converter reporting parse's ValueError under its own message."""
+    """A type= converter reporting parse's ValueError under its own message;
+    a LimitError is a precondition, not a parse error, and exits 3."""
     def convert(text: str):
         try:
             return parse(text)
+        except LimitError as exc:
+            raise _CliError(3, "precondition", str(exc)) from exc
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
     return convert
@@ -122,6 +132,8 @@ def _parse_scheme(text: str):
             return QZassenhaus(*spec_ints(body, 2))
         if sep and kind == "product":
             return parse_emap(body)
+    except LimitError as exc:
+        raise _CliError(3, "precondition", str(exc)) from exc
     except ValueError as exc:
         raise _parse_error(f"bad scheme spec {text!r}: {exc}") from exc
     raise _parse_error(f"bad scheme spec {text!r}: unknown kind {kind!r}" if sep

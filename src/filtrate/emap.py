@@ -54,12 +54,51 @@ def _entry_power(n: int, i: int, base: int, exponent: int) -> int:
     return base ** exponent
 
 
+# Miller-Rabin with these bases decides primality exactly below PRIME_LIMIT,
+# the least strong pseudoprime to all of them (Sorenson and Webster 2017)
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
+class LimitError(ValueError):
+    """An input over a documented limit, refused before any work is done."""
+
+
 def _is_prime(v: int) -> bool:
-    return v >= 2 and list(_prime_factors(v)) == [v]
+    """Whether v is prime, by Miller-Rabin over PRIME_BASES; LimitError at or
+    above PRIME_LIMIT, where those bases no longer decide it."""
+    if v >= PRIME_LIMIT:
+        raise LimitError(f"primality of {v} is decided only below the limit of {PRIME_LIMIT}")
+    if v < 2:
+        return False
+    for p in PRIME_BASES:
+        if v % p == 0:
+            return v == p
+    d, s = v - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in PRIME_BASES:
+        x = pow(a, d, v)
+        if x in (1, v - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % v
+            if x == v - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class EMap:
-    """Base class; subclasses fill in _value(n, i)."""
+    """Base class; subclasses fill in _value(n, i).
+
+    A family that is descending for every parameter says so with
+    descending_by_construction, and FiltrationSpec then skips the scan.
+    """
+
+    descending_by_construction = False
 
     def evaluate(self, n: int, i: int) -> int:
         if n < 1 or not 1 <= i <= n:
@@ -79,6 +118,8 @@ class EMap:
 class TrivialEMap(EMap):
     """e(n, n) = 1 and e(n, i) = 0 below the diagonal."""
 
+    descending_by_construction = True
+
     def _value(self, n, i):
         return 1 if i == n else 0
 
@@ -90,7 +131,9 @@ class TrivialEMap(EMap):
 
 
 class ConstantEMap(EMap):
-    """e(n, i) = a^(n-i) for a fixed a >= 0."""
+    """e(n, i) = a^(n-i) for a fixed a >= 0, so each entry is a times the next."""
+
+    descending_by_construction = True
 
     def __init__(self, a: int):
         if a < 0:
@@ -114,8 +157,12 @@ class SequenceGcdEMap(EMap):
     Lazard's recurrence, one entry at a time: with g_j the gcd of the
     products of j distinct entries seen so far (g_0 = 1, and g_j = 0 while
     there are none), an entry a sends g_j to gcd(g_j, a * g_{j-1}).  A row
-    costs O(n^2) gcds, and a single entry costs its whole row.
+    costs O(n^2) gcds, and a single entry costs its whole row.  Each product
+    of j entries is a multiple of a product of j - 1 of them, so g_j is a
+    multiple of g_{j-1}: the rows descend.
     """
+
+    descending_by_construction = True
 
     def __init__(self, seq):
         seq = tuple(int(a) for a in seq)
@@ -147,7 +194,10 @@ class SequenceGcdEMap(EMap):
 
 
 class ZassenhausEMap(EMap):
-    """e(n, i) = p^(t*j) where j is minimal with i*p^j >= n."""
+    """e(n, i) = p^(t*j) where j is minimal with i*p^j >= n; j does not
+    increase with i, and is 0 at i = n."""
+
+    descending_by_construction = True
 
     def __init__(self, p: int, t: int = 1):
         if not _is_prime(p):
@@ -371,6 +421,8 @@ def parse_emap(text: str) -> EMap:
             return SequenceGcdEMap(spec_ints(body))
         if kind == "zass":
             return ZassenhausEMap(*spec_ints(body, 2))
+    except LimitError:
+        raise
     except ValueError as exc:
         raise ValueError(f"bad e-map spec {text!r}: {exc}") from exc
     if kind == "file":

@@ -71,8 +71,9 @@ def phi(w: Monomial, g: GroupWord, ring: RingSpec) -> list[list[int]]:
 @dataclass(frozen=True)
 class FiltrationSpec:
     """An exponent table and a level: one term of a filtration.  Building it
-    checks that rows 1..level descend and keeps row `level` as `row`, which
-    is all either route reads of the table."""
+    keeps row `level` as `row`, which is all either route reads of the
+    table.  Rows 1..level of a table that is not descending by construction
+    (a `file:` table) are checked to descend first."""
 
     emap: EMap
     level: int
@@ -81,12 +82,13 @@ class FiltrationSpec:
     def __post_init__(self):
         if self.level < 1:
             raise ValueError(f"level must be >= 1, got {self.level}")
-        result = check_descending(self.emap, self.level)
-        if not result.ok:
-            raise ValueError(
-                f"exponent table is not descending up to level {self.level}: "
-                f"first violation at {result.violation}"
-            )
+        if not self.emap.descending_by_construction:
+            result = check_descending(self.emap, self.level)
+            if not result.ok:
+                raise ValueError(
+                    f"exponent table is not descending up to level {self.level}: "
+                    f"first violation at {result.violation}"
+                )
         object.__setattr__(self, "row", self.emap.row(self.level))
 
 
@@ -344,11 +346,15 @@ def product_sampler(
     words, realizes a random Lyndon bracketing of that weight, and raises it
     to e(n, i).  On one letter only weight 1 has a Lyndon word, so when
     e(n, 1) = 0 no weight is left and every sample is the empty word.
-    Outputs lie in the level-n product subgroup by construction.
-    Deterministic for a fixed seed.  The Lyndon words of every such weight
-    are listed first; more than MAX_CELLS letters in all, weight times
-    necklace(k, weight) summed over the weights, raise ValueError before
-    any is listed.
+    Outputs lie in the level-n product subgroup by construction.  That
+    subgroup lies inside the level-n term that `member_series` decides when
+    the table passes the binomial and valuation audits (`check_binomial`,
+    `check_condition_iii`); other tables give no such guarantee: rows (1),
+    (2, 1), (2, 2, 1) fail both audits, and some of their level-3 samples
+    are not members.  Deterministic for a fixed seed.  The Lyndon words of
+    every such weight are listed first; more than MAX_CELLS letters in all,
+    weight times necklace(k, weight) summed over the weights, raise
+    ValueError before any is listed.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")

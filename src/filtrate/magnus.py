@@ -4,13 +4,14 @@ A series lives in R<<x1..xk>> with all terms of degree > cap discarded.
 The expansion sends xi to 1 + xi and xi^-1 to the geometric series
 (1 + xi)^-1 = 1 - xi + xi^2 - ..., truncated at the cap.  `magnus` takes a
 run xi^k in one step: it multiplies by (1 + xi)^k = sum_j binom(k, j) xi^j
-when k > 0, and divides by (1 + xi)^|k| when k < 0.
+when k > 0, and divides by (1 + xi)^|k| when k < 0.  It takes a power u^q
+of a word that keeps its powers by repeated squaring of u's expansion.
 """
 
 from __future__ import annotations
 
 from .coeff import RingSpec
-from .words import GroupWord, Monomial, format_monomial
+from .words import GroupWord, Monomial, _inverse, format_monomial
 
 
 class CapExceededError(ValueError):
@@ -109,15 +110,9 @@ class TruncSeries:
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         """Concatenation product; terms pushed past the cap are dropped."""
         self._require_compatible(other)
-        cap = self.cap
-        out: dict[Monomial, int] = {}
-        for u, a in self.coeffs.items():
-            room = cap - len(u)
-            for v, b in other.coeffs.items():
-                if len(v) <= room:
-                    w = u + v
-                    out[w] = out.get(w, 0) + a * b
-        return TruncSeries._trusted(self.ring, self.alphabet_size, cap, out)
+        parts = _product(_by_degree(self.coeffs, self.cap), _by_degree(other.coeffs, self.cap),
+                         self.ring.modulus, self.cap)
+        return TruncSeries._trusted(self.ring, self.alphabet_size, self.cap, _joined(parts))
 
     def sorted_terms(self):
         """Terms in (length, lex) order."""
@@ -147,11 +142,44 @@ def coefficient(series: TruncSeries, w: Monomial) -> int:
     return series.coeffs.get(w, 0)
 
 
-def magnus(g: GroupWord, ring: RingSpec, cap: int) -> TruncSeries:
-    """The truncated Magnus expansion of a group word.
+def _by_degree(coeffs: dict, cap: int) -> list[dict]:
+    parts: list[dict[Monomial, int]] = [{} for _ in range(cap + 1)]
+    for w, c in coeffs.items():
+        parts[len(w)][w] = c
+    return parts
 
-    The coefficients are kept by degree, parts[d], and each run is applied
-    in place, so the word costs one pass per run, however long the runs.
+
+def _joined(parts: list[dict]) -> dict:
+    out: dict[Monomial, int] = {}
+    for part in parts:
+        out.update(part)
+    return out
+
+
+def _product(a: list[dict], b: list[dict], m: int, cap: int) -> list[dict]:
+    """The product of two series kept by degree, truncated at the cap: degree
+    d sums a[i] b[d-i] over i, reduced into Z/m (Z when 0), zeros dropped."""
+    out = []
+    for d in range(cap + 1):
+        part: dict[Monomial, int] = {}
+        for i in range(d + 1):
+            right = b[d - i]
+            if not right:
+                continue
+            for u, x in a[i].items():
+                for v, y in right.items():
+                    w = u + v
+                    part[w] = part.get(w, 0) + x * y
+        if m:
+            out.append({w: r for w, c in part.items() if (r := c % m)})
+        else:
+            out.append({w: c for w, c in part.items() if c})
+    return out
+
+
+def _apply_runs(parts: list[dict], runs, m: int, cap: int):
+    """Multiply parts, kept by degree, by the expansion of each run in place.
+
     A run xi^k with k > 0 multiplies by (1 + xi)^k: degree d gains
     sum_j binom(k, j) parts[d-j] xi^j over 1 <= j <= min(k, d), and the
     degrees are updated from the cap down, so each reads parts[d-j] from
@@ -162,11 +190,7 @@ def magnus(g: GroupWord, ring: RingSpec, cap: int) -> TruncSeries:
     sign costs min(|k|, cap) terms, and a coefficient that becomes 0 is
     dropped at once.
     """
-    if cap < 1:
-        raise ValueError(f"degree cap must be >= 1, got {cap}")
-    m = ring.modulus
-    parts: list[dict[Monomial, int]] = [{(): 1}] + [{} for _ in range(cap)]
-    for i, k in g.runs:
+    for i, k in runs:
         # (j, xi^j, +-binom(|k|, j)) for the run's nonzero binomials, j >= 1
         n = abs(k)
         terms = []
@@ -189,10 +213,54 @@ def magnus(g: GroupWord, ring: RingSpec, cap: int) -> TruncSeries:
                         part[w] = v
                     else:
                         part.pop(w, None)
-    acc: dict[Monomial, int] = {}
-    for part in parts:
-        acc.update(part)
-    return TruncSeries._trusted(ring, g.alphabet_size, cap, acc)
+
+
+def _walk(parts: list[dict], program, m: int, cap: int) -> list[dict]:
+    """parts times the expansion of a word's program (see GroupWord).
+
+    Runs are applied in place.  A power node (body, q) expands body once
+    and multiplies parts by it |q| times by repeated squaring, O(log |q|)
+    products; a node with q < 0 takes the |q|-th power of the inverse body,
+    so no series is ever inverted.
+    """
+    for node in program:
+        body, q = node
+        if type(body) is int:
+            _apply_runs(parts, (node,), m, cap)
+            continue
+        if q < 0:
+            body, q = _inverse(body), -q
+        base = _walk([{(): 1}] + [{} for _ in range(cap)], body, m, cap)
+        while True:
+            if q & 1:
+                parts = _product(parts, base, m, cap)
+            q >>= 1
+            if not q:
+                break
+            base = _product(base, base, m, cap)
+    return parts
+
+
+def magnus(g: GroupWord, ring: RingSpec, cap: int) -> TruncSeries:
+    """The truncated Magnus expansion of a group word.
+
+    The coefficients are kept by degree, parts[d].  A word costs one pass
+    per run (`_apply_runs`), however long the runs, unless it keeps a
+    program that `GroupWord.program_at` estimates cheaper at this cap.  The
+    program is walked instead (`_walk`): a power u^q then costs O(log |q|)
+    truncated products, not |q| passes over u's runs.  The expansion is a
+    homomorphism, so both give the same series.
+    """
+    if cap < 1:
+        raise ValueError(f"degree cap must be >= 1, got {cap}")
+    m = ring.modulus
+    parts: list[dict[Monomial, int]] = [{(): 1}] + [{} for _ in range(cap)]
+    program = g.program_at(cap)
+    if program is g.runs:
+        _apply_runs(parts, program, m, cap)
+    else:
+        parts = _walk(parts, program, m, cap)
+    return TruncSeries._trusted(ring, g.alphabet_size, cap, _joined(parts))
 
 
 def series_json(series: TruncSeries) -> dict:

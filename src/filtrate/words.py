@@ -39,9 +39,18 @@ class GroupWord:
     different letters.  Construction from signed letters (+i for xi, -i for
     its inverse) reduces eagerly, so equal group elements compare equal as
     objects.  Instances are immutable and hashable.
+
+    A word built with powers may also keep a program for `magnus`: a tuple
+    of runs (i, k) and power nodes (body, q), where body is a program and
+    |q| >= 2, whose product is the word without flattening its powers.  It
+    is kept as (program, plain, products): plain counts the runs the
+    program spells out, each body once per node, and products the series
+    products its powers take by repeated squaring.  A word keeps it only
+    while it may be cheaper to expand than the runs (see `program_at`).
+    Equality, hashing and printing read the runs alone.
     """
 
-    __slots__ = ("alphabet_size", "runs")
+    __slots__ = ("alphabet_size", "runs", "_program")
 
     def __init__(self, alphabet_size: int, letters=()):
         if alphabet_size < 1:
@@ -58,14 +67,44 @@ class GroupWord:
             runs.append((i, k))
         object.__setattr__(self, "alphabet_size", alphabet_size)
         object.__setattr__(self, "runs", tuple(runs))
+        object.__setattr__(self, "_program", None)
 
     @classmethod
-    def _from_runs(cls, alphabet_size: int, runs: tuple) -> "GroupWord":
-        """Wrap runs that are already valid and freely reduced."""
+    def _from_runs(cls, alphabet_size: int, runs: tuple, pieces=()) -> "GroupWord":
+        """Wrap runs that are already valid and freely reduced.
+
+        pieces are (program, plain, products, sign) whose product, a program
+        inverted when its sign is negative, is the word.  Their programs, one
+        after another, become the word's program when some piece has a power
+        node and the program can be cheaper than the runs at some cap: the
+        estimate in `program_at` is at least plain + 2 * products.  Callers
+        pass pieces only when one of them has a power node.
+        """
         w = object.__new__(cls)
         object.__setattr__(w, "alphabet_size", alphabet_size)
         object.__setattr__(w, "runs", runs)
+        object.__setattr__(w, "_program", _program(runs, pieces) if pieces else None)
         return w
+
+    @property
+    def program(self) -> tuple:
+        """The program `magnus` may walk; the runs when the word keeps none."""
+        return self.runs if self._program is None else self._program[0]
+
+    def _piece(self, sign: int = 1) -> tuple:
+        if self._program is None:
+            return self.runs, len(self.runs), 0, sign
+        return (*self._program, sign)
+
+    def program_at(self, cap: int) -> tuple:
+        """What `magnus` walks at this cap: the program when its estimated
+        cost, the runs it spells out plus (cap + 1) * alphabet_size for each
+        series product, is below the run count; otherwise the runs."""
+        if self._program is not None:
+            program, plain, products = self._program
+            if plain + products * (cap + 1) * self.alphabet_size < len(self.runs):
+                return program
+        return self.runs
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupWord is immutable")
@@ -104,14 +143,42 @@ class GroupWord:
         self._require_same_alphabet(other)
         runs = _join(self.runs, other.runs)
         _check_runs("product", len(runs))
-        return GroupWord._from_runs(self.alphabet_size, runs)
+        pieces = (self._piece(), other._piece()) if self._program or other._program else ()
+        return GroupWord._from_runs(self.alphabet_size, runs, pieces)
 
     def inverse(self) -> "GroupWord":
-        return GroupWord._from_runs(self.alphabet_size, _inverse(self.runs))
+        pieces = (self._piece(-1),) if self._program else ()
+        return GroupWord._from_runs(self.alphabet_size, _inverse(self.runs), pieces)
 
     def __pow__(self, k: int) -> "GroupWord":
-        runs = self.runs if k >= 0 else _inverse(self.runs)
-        return GroupWord._from_runs(self.alphabet_size, _power(runs, abs(k)))
+        if len(self.runs) == 1:
+            # (x^e)^k is the one run x^(ek), which no program undercuts
+            (i, e), = self.runs
+            return GroupWord._from_runs(self.alphabet_size, ((i, e * k),) if k else ())
+        n = abs(k)
+        runs = _power(self.runs if k >= 0 else _inverse(self.runs), n)
+        if n < 2:
+            pieces = (self._piece(k),) if k and self._program else ()
+        else:
+            # repeated squaring: bit_length - 1 squares of the body's
+            # expansion and bit_count products into the expansion so far
+            body, plain, products, _ = self._piece()
+            pieces = ((((body, k),), plain, products + n.bit_length() - 1 + n.bit_count(), 1),)
+        return GroupWord._from_runs(self.alphabet_size, runs, pieces)
+
+
+def _program(runs: tuple, pieces) -> tuple | None:
+    """(program, plain, products) of the pieces joined, or None when no piece
+    has a power node or the program is never cheaper than the runs."""
+    plain = products = 0
+    for _, p, q, _ in pieces:
+        plain += p
+        products += q
+    if products and plain + 2 * products < len(runs):
+        program = tuple(chain.from_iterable(
+            p if sign > 0 else _inverse(p) for p, _, _, sign in pieces))
+        return program, plain, products
+    return None
 
 
 def _check_runs(what: str, count: int):
@@ -180,7 +247,9 @@ def commutator(a: GroupWord, b: GroupWord) -> GroupWord:
     # the first runs that differ merge into one when their letters agree
     merged = shared < common and ab[shared][0] == ba[shared][0]
     _check_runs("commutator", len(ab) + len(ba) - 2 * shared - merged)
-    return GroupWord._from_runs(a.alphabet_size, _join(_inverse(ba[shared:]), ab[shared:]))
+    pieces = ((a._piece(-1), b._piece(-1), a._piece(), b._piece())
+              if a._program or b._program else ())
+    return GroupWord._from_runs(a.alphabet_size, _join(_inverse(ba[shared:]), ab[shared:]), pieces)
 
 
 def format_word(w: GroupWord) -> str:
@@ -264,8 +333,9 @@ def parse_word(text: str, alphabet_size: int) -> GroupWord:
             pos += 1
             continue
         if ch == "x":
+            # _read_generator checked the index against the alphabet
             index, pos = _read_generator(text, pos, alphabet_size)
-            atom = GroupWord(alphabet_size, (index,))
+            atom = GroupWord._from_runs(alphabet_size, ((index, 1),))
         elif ch == "e":
             pos += 1
             atom = GroupWord(alphabet_size)

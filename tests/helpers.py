@@ -385,3 +385,53 @@ def pairing_rows_by_magnus(k: int, n: int) -> tuple:
         s = magnus(realize(basic_commutator(u), k), ZZ, n)
         rows.append(tuple(s.coeffs.get(w, 0) for w in columns))
     return tuple(rows)
+
+
+def program_letters(program) -> list[int]:
+    """The signed letters a word's program spells, unreduced: a run (i, k)
+    is |k| letters, and a power node (body, q) is body's letters |q| times,
+    inverted when q < 0."""
+    out = []
+    for a, q in program:
+        if isinstance(a, int):
+            out += [a if q > 0 else -a] * abs(q)
+        else:
+            body = program_letters(a)
+            if q < 0:
+                body = [-s for s in reversed(body)]
+            out += body * abs(q)
+    return out
+
+
+def random_power_expression(rng: random.Random, alphabet_size: int, depth: int, exponents):
+    """A random word expression with nested powers, products and
+    commutators, as (text, letters, program).
+
+    letters are the signed letters the text spells, unreduced, written out
+    from the grammar.  program is the same expression with every power kept
+    as a node (body, q), for any q drawn from exponents, in the form that
+    `magnus` walks.
+    """
+    def inverse(letters):
+        return [-s for s in reversed(letters)]
+
+    def invert_program(program):
+        return tuple((a, -q) for a, q in reversed(program))
+
+    roll = rng.random() if depth else 0.0
+    if roll < 0.3:
+        i = rng.randint(1, alphabet_size)
+        e = rng.choice((1, -1, 2, -3))
+        return f"x{i}^{e}", [i if e > 0 else -i] * abs(e), ((i, e),)
+    if roll < 0.65:
+        text, letters, program = random_power_expression(rng, alphabet_size, depth - 1, exponents)
+        q = rng.choice(exponents)
+        return (f"({text})^{q}", (letters if q >= 0 else inverse(letters)) * abs(q),
+                ((program, q),))
+    a_text, a_letters, a_program = random_power_expression(rng, alphabet_size, depth - 1, exponents)
+    b_text, b_letters, b_program = random_power_expression(rng, alphabet_size, depth - 1, exponents)
+    if roll < 0.85:
+        return f"{a_text}*{b_text}", a_letters + b_letters, a_program + b_program
+    return (f"[{a_text},{b_text}]",
+            inverse(a_letters) + inverse(b_letters) + a_letters + b_letters,
+            invert_program(a_program) + invert_program(b_program) + a_program + b_program)

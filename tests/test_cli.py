@@ -9,7 +9,7 @@ import pytest
 
 import filtrate.cli as cli
 from filtrate import filt
-from filtrate.emap import MAX_ENTRY_BITS
+from filtrate.emap import MAX_ENTRY_BITS, PRIME_LIMIT
 from filtrate.magnus import magnus
 from filtrate.massey import MAX_CELLS
 from filtrate.words import (
@@ -641,14 +641,65 @@ def test_product_sampler_under_the_cell_limit_answers(level, alphabet):
     assert len(json.loads(proc.stdout)["words"]) == 1
 
 
+def test_a_wrong_power_node_product_makes_the_routes_disagree(monkeypatch, capsys):
+    # (x1*x2^-1)^64 keeps its power, so the series route multiplies series
+    # by repeated squaring; a product that adds one x1 each time reaches
+    # only that route, and the kernel route still finds a member
+    magnus_module = sys.modules["filtrate.magnus"]
+    product = magnus_module._product
+
+    def wrong_product(a, b, m, cap):
+        out = product(a, b, m, cap)
+        out[1][(1,)] = out[1].get((1,), 0) + 1
+        return out
+
+    argv = ["member", "--word", "(x1*x2^-1)^64", "--emap", "zass:2,1", "--level", "3",
+            "--alphabet", "2", "--route", "both"]
+    code, report, _ = run(capsys, argv)
+    assert code == 0 and report["member"] is True
+    monkeypatch.setattr(magnus_module, "_product", wrong_product)
+    code, report, _ = run(capsys, argv)
+    assert code == 4
+    error = report["error"]
+    assert error["kind"] == "integrity"
+    assert error["series_member"] is False and error["kernels_member"] is True
+    assert error["kernels_witness"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["member", "--word", "x1", "--emap", "zass:{p},1", "--level", "2", "--alphabet", "2"],
+    ["emap-check", "--emap", "zass:{p},1", "--nmax", "3"],
+    ["sample", "--scheme", "zass:{p},1", "--level", "2", "--alphabet", "2"],
+    ["sample", "--scheme", "product:zass:{p},1", "--level", "2", "--alphabet", "2"],
+], ids=["member", "emap-check", "sample-zass", "sample-product"])
+def test_primes_past_the_primality_limit_exit_three(argv, capsys):
+    p = PRIME_LIMIT + 2
+    code, report, _ = run(capsys, [a.format(p=p) for a in argv])
+    assert code == 3
+    assert report["error"] == {
+        "kind": "precondition",
+        "message": f"primality of {p} is decided only below the limit of {PRIME_LIMIT}",
+    }
+
+
+def test_large_primes_answer_at_once():
+    # 100000000000031 is prime; trial division took about a second
+    for argv in (["member", "--word", "x1", "--emap", "zass:100000000000031,1", "--level", "2",
+                  "--alphabet", "2"],
+                 ["emap-check", "--emap", "zass:100000000000031,1", "--nmax", "3"]):
+        proc, elapsed = run_child(argv)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert elapsed < 1
+
+
 BIG_BASE = "7" * 4000  # 13288 bits, so a^8 is past the limit and a^7 is not
 
 
 @pytest.mark.parametrize("emap, level, entry, bound", [
-    ("zass:2,1000000", "3", "e(2,1)", 2 * 10**6),
+    # these families descend by construction, so only row `level` is read
+    ("zass:2,1000000", "3", "e(3,1)", 4 * 10**6),
     ("zass:2,1" + "0" * 30, "2", "e(2,1)", 2 * 10**30),
-    # the descent check refuses row 9 before the route reads row 10
-    ("const:" + BIG_BASE, "10", "e(9,1)", 8 * int(BIG_BASE).bit_length()),
+    ("const:" + BIG_BASE, "10", "e(10,1)", 9 * int(BIG_BASE).bit_length()),
 ], ids=["zass-t-1e6", "zass-t-1e30", "const-4000-digits"])
 def test_oversized_table_entries_exit_three(emap, level, entry, bound):
     # the bound on an entry's bits is checked before the power is taken

@@ -1,7 +1,7 @@
 import json
 import random
 import time
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, takewhile
 from math import comb
 
 import pytest
@@ -9,11 +9,14 @@ import pytest
 from filtrate.coeff import RingSpec, ZZ, divisible
 from filtrate.emap import (
     MAX_ENTRY_BITS,
+    PRIME_LIMIT,
+    LimitError,
     ConstantEMap,
     ExplicitEMap,
     SequenceGcdEMap,
     TrivialEMap,
     ZassenhausEMap,
+    _is_prime,
     check_binomial,
     check_condition_iii,
     check_descending,
@@ -158,13 +161,37 @@ def test_check_descending():
 
 
 def test_check_descending_on_random_families():
+    # FiltrationSpec skips the scan for the families that claim descent by
+    # construction, so every claim is checked here over random parameters
     rng = random.Random(42)
-    for _ in range(30):
-        seq = tuple(rng.randint(0, 12) for _ in range(11))
-        assert check_descending(SequenceGcdEMap(seq), 12).ok
-    for p in (2, 3, 5):
-        for t in (1, 2, 3):
-            assert check_descending(ZassenhausEMap(p, t), 12).ok
+    tables = [TrivialEMap()]
+    tables += [SequenceGcdEMap(tuple(rng.randint(0, 12) for _ in range(11))) for _ in range(30)]
+    tables += [ConstantEMap(rng.randint(0, 40)) for _ in range(20)]
+    tables += [ZassenhausEMap(rng.choice((2, 3, 5, 7, 11, 101)), rng.randint(1, 4))
+               for _ in range(20)]
+    for e in tables:
+        assert e.descending_by_construction, e
+        assert check_descending(e, 12).ok, e
+    assert not ExplicitEMap({1: (1,)}).descending_by_construction
+
+
+def test_is_prime_matches_trial_division():
+    primes = []
+    for v in range(10**5):
+        prime = v >= 2 and all(v % p for p in takewhile(lambda p: p * p <= v, primes))
+        if prime:
+            primes.append(v)
+        assert _is_prime(v) == prime, v
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases, then primes
+    for v in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(v), v
+    for v in (10**9 + 7, 999999999989, 100000000000031, 2**61 - 1):
+        assert _is_prime(v), v
+    assert not _is_prime(PRIME_LIMIT - 2)
+    with pytest.raises(LimitError, match=f"decided only below the limit of {PRIME_LIMIT}"):
+        _is_prime(PRIME_LIMIT)
+    with pytest.raises(LimitError):
+        ZassenhausEMap(PRIME_LIMIT + 2, 1)
 
 
 def test_check_binomial_families():

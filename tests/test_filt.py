@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from itertools import permutations
 from types import SimpleNamespace
 
@@ -13,6 +14,8 @@ from filtrate.emap import (
     SequenceGcdEMap,
     TrivialEMap,
     ZassenhausEMap,
+    check_binomial,
+    check_condition_iii,
     parse_emap,
 )
 from filtrate import filt
@@ -46,6 +49,7 @@ from helpers import (
     magnus_by_letters,
     membership_witnesses,
     random_descending_table,
+    random_power_expression,
     random_reduced_word,
     unimatrix_identity,
     unimatrix_product,
@@ -315,6 +319,8 @@ def test_cross_ring_prime_power_characterization():
 
 
 def test_product_sampler_containment():
+    # product samples are members for tables that pass the binomial and
+    # valuation audits, as these do
     rng = random.Random(62)
     emaps = [
         TrivialEMap(),
@@ -325,6 +331,7 @@ def test_product_sampler_containment():
     ]
     budget = SampleBudget(count=10, max_factor_length=4)
     for emap in emaps:
+        assert check_binomial(emap, 4).ok and check_condition_iii(emap, 4).ok
         for level in (2, 3, 4):
             spec = FiltrationSpec(emap, level)
             for g in product_sampler(emap, level, 2, budget, seed=rng.randint(0, 10**6)):
@@ -491,6 +498,62 @@ def test_routes_match_the_oracle_on_inverse_runs():
                 assert kernel_witness(g, spec) == kernel, (g, e, level)
                 seen["member" if series is None else "degree 1" if series[0] == 1 else "higher"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_routes_match_the_oracle_on_nested_powers():
+    # words that keep their powers: the series route may walk the program,
+    # the kernel route reads the runs, and both must name the witnesses of
+    # one letter-by-letter expansion
+    rng = random.Random(73)
+    tables = (TrivialEMap(), ZassenhausEMap(2, 1), ZassenhausEMap(3, 1), ConstantEMap(6),
+              SequenceGcdEMap((3, 3, 2, 2, 2, 2)))
+    seen = {"degree 1": 0, "higher": 0, "member": 0, "walked": 0}
+    for e in tables:
+        for level in range(2, 6):
+            spec = FiltrationSpec(e, level)
+            top = len(filt.ideal_divisors(spec.row))
+            first = e.evaluate(level, 1)
+            exponents = list(range(-5, 6)) + [first, -first, 2 * first, 16, -16, 64]
+            texts = []
+            for _ in range(12):
+                k = rng.choice((2, 3)) if level < 5 else 2
+                text, letters, _ = random_power_expression(rng, k, 3, exponents)
+                if len(letters) <= 400:
+                    texts.append((text, k))
+                # a long power of a short base, alone and in a product and
+                # a commutator, which the series route walks as a program
+                base, letters, _ = random_power_expression(rng, k, 2, range(-3, 4))
+                if 1 < len(letters) <= 4:
+                    q = first * rng.choice((2, 4, 8))
+                    q = rng.choice((1, -1)) * (q if 0 < q <= 64 else 64)
+                    texts += [(f"({base})^{q}", k), (f"x1*({base})^{q}", k),
+                              (f"[({base})^{q},x2]", k)]
+            for text, k in texts:
+                g = parse_word(text, k)
+                series, kernel = membership_witnesses(g, e, level)
+                assert series_witness(g, spec) == series, (text, e, level)
+                assert kernel_witness(g, spec) == kernel, (text, e, level)
+                seen["member" if series is None else "degree 1" if series[0] == 1 else "higher"] += 1
+                seen["walked"] += top > 0 and g.program_at(top) is not g.runs
+    assert min(seen.values()) >= 20, seen
+
+
+def test_product_samples_of_unaudited_tables_need_not_be_members():
+    # rows (1), (2, 1), (2, 2, 1) descend but fail the binomial and
+    # valuation audits, and some of their product samples are not members
+    unaudited = ExplicitEMap({1: (1,), 2: (2, 1), 3: (2, 2, 1)})
+    assert not check_binomial(unaudited, 3).ok and not check_condition_iii(unaudited, 3).ok
+    spec = FiltrationSpec(unaudited, 3)
+    samples = product_sampler(unaudited, 3, 2, SampleBudget(count=20), seed=1)
+    assert not all(member_series(g, spec) for g in samples)
+
+
+def test_families_build_a_spec_from_one_row():
+    # a family that descends by construction is not scanned row by row
+    start = time.perf_counter()
+    FiltrationSpec(ZassenhausEMap(2, 1), 2000)
+    FiltrationSpec(SequenceGcdEMap((2,) * 449), 450)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_routes_read_only_the_row_the_spec_keeps(monkeypatch, tmp_path):

@@ -1,5 +1,7 @@
+import importlib
 import random
-from math import gcd
+import time
+from math import comb, gcd
 
 import pytest
 
@@ -11,9 +13,22 @@ from filtrate.magnus import (
     magnus,
     series_json,
 )
-from filtrate.words import GroupWord, basic_commutator, lyndon_words, parse_word, realize
+from filtrate.words import (
+    GroupWord,
+    basic_commutator,
+    enumerate_monomials,
+    lyndon_words,
+    parse_word,
+    realize,
+)
 
-from helpers import magnus_by_letters, random_reduced_word, random_series, series_inverse
+from helpers import (
+    magnus_by_letters,
+    random_power_expression,
+    random_reduced_word,
+    random_series,
+    series_inverse,
+)
 
 
 def s_one(cap=3, ring=ZZ, k=2):
@@ -305,3 +320,78 @@ def test_letter_cache_consistency():
     assert a == c
     assert b.ring == RingSpec(5)
     assert a != b
+
+
+# the package exports the function magnus under the module's name
+magnus_module = importlib.import_module("filtrate.magnus")
+
+POWER_RINGS = tuple(RingSpec(m) for m in (0, 1, 2, 4, 6, 9, 12))
+
+
+def _walked(program, ring, k, cap):
+    """The expansion of a program through the power-node walk, whatever the
+    cost rule in `magnus` would choose."""
+    parts = magnus_module._walk([{(): 1}] + [{} for _ in range(cap)], program, ring.modulus, cap)
+    return TruncSeries._trusted(ring, k, cap, magnus_module._joined(parts)).coeffs
+
+
+def test_power_programs_match_letter_by_letter():
+    # nested powers, products and commutators with q in -5..5: each program
+    # is walked as it stands, and the parsed word goes through magnus
+    rng = random.Random(71)
+    for _ in range(400):
+        ring = rng.choice(POWER_RINGS)
+        cap = rng.randint(1, 6)
+        k = rng.randint(1, 3)
+        text, letters, program = random_power_expression(rng, k, 3, range(-5, 6))
+        if len(letters) > 300:
+            continue
+        want = TruncSeries(ring, k, cap, magnus_by_letters(letters, ring.modulus, cap)).coeffs
+        assert _walked(program, ring, k, cap) == want, (text, ring, cap)
+        assert magnus(parse_word(text, k), ring, cap).coeffs == want, (text, ring, cap)
+
+
+def test_large_powers_match_letter_by_letter():
+    # (u)^q with large |q|, where magnus walks the program, not the runs
+    rng = random.Random(72)
+    walked = 0
+    for _ in range(400):
+        ring = rng.choice(POWER_RINGS)
+        cap = rng.randint(1, 4)
+        k = rng.randint(1, 3)
+        q = rng.choice((1, -1)) * rng.choice((64, 100, 257))
+        base, base_letters, base_program = random_power_expression(rng, k, 2, range(-3, 4))
+        if not 1 < len(base_letters) <= 6:
+            continue
+        text = f"({base})^{q}"
+        letters = (base_letters if q > 0 else [-s for s in reversed(base_letters)]) * abs(q)
+        g = parse_word(text, k)
+        walked += g.program_at(cap) is not g.runs
+        want = TruncSeries(ring, k, cap, magnus_by_letters(letters, ring.modulus, cap)).coeffs
+        assert _walked(((base_program, q),), ring, k, cap) == want, (text, ring, cap)
+        assert magnus(g, ring, cap).coeffs == want, (text, ring, cap)
+    assert walked >= 20, walked
+
+
+def test_magnus_of_a_power_past_the_run_limit_of_a_flat_walk():
+    # (x1 x2)^N expands to (1 + X)^N with X = x1 + x2 + x1x2, so the
+    # coefficient at w sums binom(N, j) over the ways to cut w into j blocks
+    # x1, x2 or x1x2
+    n = 500000
+    g = parse_word(f"(x1*x2)^{n}", 2)
+
+    def cuts(w, j):
+        if not w:
+            return j == 0
+        return j > 0 and (cuts(w[1:], j - 1) + (w[:2] == (1, 2) and cuts(w[2:], j - 1)))
+
+    want = {(): 1}
+    for d in range(1, 4):
+        for w in enumerate_monomials(2, d):
+            if c := sum(comb(n, j) * cuts(w, j) for j in range(1, d + 1)):
+                want[w] = c
+    start = time.perf_counter()
+    s = magnus(g, ZZ, 3)
+    elapsed = time.perf_counter() - start
+    assert s.coeffs == want
+    assert elapsed < 0.5, elapsed

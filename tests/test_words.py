@@ -24,7 +24,13 @@ from filtrate.words import (
 from filtrate import words as words_module
 from filtrate.words import _power, _power_run_count
 
-from helpers import brute_lyndon, necklace_by_mobius, random_reduced_word
+from helpers import (
+    brute_lyndon,
+    necklace_by_mobius,
+    program_letters,
+    random_power_expression,
+    random_reduced_word,
+)
 
 signed_letters = st.lists(
     st.integers(min_value=1, max_value=3).flatmap(
@@ -124,6 +130,47 @@ def test_product_and_commutator_limits_count_the_reduced_result(a, b):
             patch.setattr(words_module, "MAX_RUNS", len(expected.runs) - 1)
             with pytest.raises(ValueError, match=f"the {name} has {len(expected.runs)} runs"):
                 build()
+
+
+def test_words_keep_their_powers_as_a_program():
+    g = parse_word("(x1*x2)^64", 2)
+    # 6 squares and one product into what precedes the power
+    assert g.program == ((((1, 1), (2, 1)), 64),)
+    assert g._program[1:] == (2, 7)
+    # 2 + 7 * (cap + 1) * 2 against 128 runs: walked up to cap 7
+    assert g.program_at(7) is g.program and g.program_at(8) is g.runs
+    # equality, hashing and printing read the runs alone
+    flat = GroupWord(2, (1, 2) * 64)
+    assert flat.program is flat.runs and flat.program_at(1) is flat.runs
+    assert g == flat and hash(g) == hash(flat) and format_word(g) == format_word(flat)
+    assert g.inverse().program == ((((1, 1), (2, 1)), -64),)
+    x1 = GroupWord(2, (1,))
+    assert (x1 * g).program == ((1, 1), (((1, 1), (2, 1)), 64))
+    assert commutator(g, x1).program == (
+        (((1, 1), (2, 1)), -64), (1, -1), (((1, 1), (2, 1)), 64), (1, 1))
+    # nested powers keep the inner node as the body of the outer one
+    inner = ((((1, 1), (2, 1)), 8),)
+    assert parse_word("((x1*x2)^8)^8", 2).program == ((inner, 8),)
+    # a program that cannot be cheaper than the runs is not kept: one run,
+    # a short power, or powers that cancel
+    for text in ("x1^1000", "(x1*x2)^5", "(x1*x2*x1^-1)^1000", "(x1*x2)^64*(x1*x2)^-64"):
+        w = parse_word(text, 2)
+        assert w._program is None and w.program is w.runs, text
+
+
+def test_programs_spell_their_runs():
+    rng = random.Random(74)
+    kept = 0
+    for _ in range(300):
+        k = rng.randint(1, 3)
+        text, letters, _ = random_power_expression(rng, k, 3, (-64, -9, -2, 2, 3, 8, 64))
+        if len(letters) > 3000:
+            continue
+        g = parse_word(text, k)
+        assert g == GroupWord(k, letters), text
+        assert GroupWord(k, program_letters(g.program)) == g, text
+        kept += g.program is not g.runs
+    assert kept >= 15, kept
 
 
 def test_alphabet_mismatch_is_an_error():
