@@ -26,6 +26,23 @@ class RingSpec:
 
 ZZ = RingSpec(0)
 
+# Largest build made: pairing-matrix cells, kernel-route row entries,
+# product-sampler letters, or the degrees of a Magnus expansion.  Each is
+# counted and checked before any of it is made.
+MAX_CELLS = 10**7
+
+
+def check_cells(what: str, formula: str, cells: int | None) -> None:
+    """Refuse a build of more than MAX_CELLS cells before any of it is made.
+
+    `cells` is the count, given by `formula`, or None when the caller knows
+    it is over the limit without computing it.
+    """
+    if cells is not None and cells <= MAX_CELLS:
+        return
+    count = f"more than {MAX_CELLS}" if cells is None else cells
+    raise ValueError(f"{what} needs {count} cells ({formula}), over the limit of {MAX_CELLS}")
+
 
 def parse_ring(text: str) -> RingSpec:
     """Parse a ring spec string: "Z" or "Z/<m>" with m >= 1."""

@@ -357,12 +357,10 @@ def normalize(e: EMap, n_max: int) -> ExplicitEMap:
 def divisor_witness(s: TruncSeries, divisors) -> tuple | None:
     """First (length, lex) term of s of degree 1 <= d <= len(divisors) not
     divisible by divisors[d - 1], or None; the constant term is not read."""
-    for w, c in s.sorted_terms():
-        d = len(w)
-        if d > len(divisors):
-            break
-        if d and not divisible(c, divisors[d - 1]):
-            return (d, w, c)
+    for d, (divisor, part) in enumerate(zip(divisors, s.parts[1:]), 1):
+        if failing := [w for w, c in part.items() if not divisible(c, divisor)]:
+            w = min(failing)
+            return (d, w, part[w])
     return None
 
 
@@ -384,7 +382,7 @@ def ideal_member_witness(s: TruncSeries, e: EMap, n: int):
         raise ValueError(
             f"cap {s.cap} too small: membership at level {n} reads degrees up to {len(divisors)}"
         )
-    if c := s.coeffs.get(()):
+    if c := s.parts[0].get(()):
         return (0, (), c)
     return divisor_witness(s, divisors)
 

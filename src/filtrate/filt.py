@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import comb, lcm
 
-from .coeff import RingSpec, ZZ
+from .coeff import MAX_CELLS, RingSpec, ZZ, check_cells
 from .emap import EMap, _is_prime, check_descending, divisor_witness, ideal_divisors
 from .magnus import magnus
-from .massey import MAX_CELLS, check_cells, necklace
+from .massey import necklace
 from .words import (
     GroupWord,
     Monomial,
@@ -63,8 +63,8 @@ def phi(w: Monomial, g: GroupWord, ring: RingSpec) -> list[list[int]]:
     if not w:
         raise ValueError("w must be a nonempty monomial")
     size = len(w) + 1
-    coeffs = magnus(g, ring, size - 1).coeffs
-    return [[coeffs.get(w[i:j], 0) if i <= j else 0 for j in range(size)]
+    parts = magnus(g, ring, size - 1).parts
+    return [[parts[j - i].get(w[i:j], 0) if i <= j else 0 for j in range(size)]
             for i in range(size)]
 
 

@@ -10,7 +10,7 @@ of a word that keeps its powers by repeated squaring of u's expansion.
 
 from __future__ import annotations
 
-from .coeff import RingSpec
+from .coeff import RingSpec, check_cells
 from .words import GroupWord, Monomial, _inverse, format_monomial
 
 
@@ -26,46 +26,52 @@ def _canonical(coeffs: dict, modulus: int) -> dict:
 
 
 class TruncSeries:
-    """Sparse truncated series: a dict from monomials to nonzero ring elements.
+    """Sparse truncated series, kept by degree: parts[d] maps the monomials
+    of length d to their nonzero ring elements, for 0 <= d <= cap.
 
     Instances are canonical (coefficients reduced into the ring, zeros never
     stored) and treated as immutable.  Binary operations require matching
     ring, alphabet and cap.
     """
 
-    __slots__ = ("ring", "alphabet_size", "cap", "coeffs")
+    __slots__ = ("ring", "alphabet_size", "cap", "parts")
 
     def __init__(self, ring: RingSpec, alphabet_size: int, cap: int, coeffs=None):
         if alphabet_size < 1:
             raise ValueError(f"alphabet size must be >= 1, got {alphabet_size}")
         if cap < 1:
             raise ValueError(f"degree cap must be >= 1, got {cap}")
-        checked: dict[Monomial, int] = {}
+        parts: list[dict[Monomial, int]] = [{} for _ in range(cap + 1)]
         for w, c in (coeffs or {}).items():
             w = tuple(w)
             if len(w) > cap:
                 raise ValueError(f"monomial {w} exceeds degree cap {cap}")
             if any(not 1 <= i <= alphabet_size for i in w):
                 raise ValueError(f"monomial {w} outside alphabet of size {alphabet_size}")
-            checked[w] = c
-        self._store(ring, alphabet_size, cap, checked)
+            parts[len(w)][w] = c
+        self._store(ring, alphabet_size, cap, [_canonical(p, ring.modulus) for p in parts])
 
     @classmethod
-    def _trusted(cls, ring: RingSpec, alphabet_size: int, cap: int, coeffs) -> "TruncSeries":
-        """Wrap an internal result whose monomials are known to fit the cap and
-        alphabet; only the coefficients are reduced."""
+    def _trusted(cls, ring: RingSpec, alphabet_size: int, cap: int, parts) -> "TruncSeries":
+        """Wrap parts already canonical by degree, as `magnus` and `_product`
+        return them, without copying or reducing them."""
         series = object.__new__(cls)
-        series._store(ring, alphabet_size, cap, coeffs)
+        series._store(ring, alphabet_size, cap, parts)
         return series
 
-    def _store(self, ring: RingSpec, alphabet_size: int, cap: int, coeffs):
+    def _store(self, ring: RingSpec, alphabet_size: int, cap: int, parts):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "alphabet_size", alphabet_size)
         object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "coeffs", _canonical(coeffs, ring.modulus))
+        object.__setattr__(self, "parts", parts)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
+
+    @property
+    def coeffs(self) -> dict:
+        """Every term in one new dict, a flat view of parts."""
+        return {w: c for part in self.parts for w, c in part.items()}
 
     @classmethod
     def one(cls, ring: RingSpec, alphabet_size: int, cap: int) -> "TruncSeries":
@@ -85,15 +91,15 @@ class TruncSeries:
             and self.ring == other.ring
             and self.alphabet_size == other.alphabet_size
             and self.cap == other.cap
-            and self.coeffs == other.coeffs
+            and self.parts == other.parts
         )
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         self._require_compatible(other)
-        out = dict(self.coeffs)
+        out = self.coeffs
         for w, c in other.coeffs.items():
             out[w] = out.get(w, 0) + c
-        return TruncSeries._trusted(self.ring, self.alphabet_size, self.cap, out)
+        return TruncSeries(self.ring, self.alphabet_size, self.cap, out)
 
     def __neg__(self) -> "TruncSeries":
         return self.scale(-1)
@@ -102,21 +108,18 @@ class TruncSeries:
         return self + (-other)
 
     def scale(self, c: int) -> "TruncSeries":
-        return TruncSeries._trusted(
-            self.ring, self.alphabet_size, self.cap,
-            {w: c * a for w, a in self.coeffs.items()},
-        )
+        return TruncSeries(self.ring, self.alphabet_size, self.cap,
+                           {w: c * a for w, a in self.coeffs.items()})
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         """Concatenation product; terms pushed past the cap are dropped."""
         self._require_compatible(other)
-        parts = _product(_by_degree(self.coeffs, self.cap), _by_degree(other.coeffs, self.cap),
-                         self.ring.modulus, self.cap)
-        return TruncSeries._trusted(self.ring, self.alphabet_size, self.cap, _joined(parts))
+        parts = _product(self.parts, other.parts, self.ring.modulus, self.cap)
+        return TruncSeries._trusted(self.ring, self.alphabet_size, self.cap, parts)
 
     def sorted_terms(self):
         """Terms in (length, lex) order."""
-        return sorted(self.coeffs.items(), key=lambda item: (len(item[0]), item[0]))
+        return [term for part in self.parts for term in sorted(part.items())]
 
     def __repr__(self) -> str:
         terms = self.sorted_terms()
@@ -139,21 +142,12 @@ def coefficient(series: TruncSeries, w: Monomial) -> int:
             raise ValueError(
                 f"monomial {w} uses letter {c} outside x1..x{series.alphabet_size}"
             )
-    return series.coeffs.get(w, 0)
+    return series.parts[len(w)].get(w, 0)
 
 
-def _by_degree(coeffs: dict, cap: int) -> list[dict]:
-    parts: list[dict[Monomial, int]] = [{} for _ in range(cap + 1)]
-    for w, c in coeffs.items():
-        parts[len(w)][w] = c
-    return parts
-
-
-def _joined(parts: list[dict]) -> dict:
-    out: dict[Monomial, int] = {}
-    for part in parts:
-        out.update(part)
-    return out
+def _one(m: int, cap: int) -> list[dict]:
+    """The parts of the series 1 over Z/m (Z when 0); over Z/1 it is 0."""
+    return [_canonical({(): 1}, m)] + [{} for _ in range(cap)]
 
 
 def _product(a: list[dict], b: list[dict], m: int, cap: int) -> list[dict]:
@@ -170,67 +164,61 @@ def _product(a: list[dict], b: list[dict], m: int, cap: int) -> list[dict]:
                 for v, y in right.items():
                     w = u + v
                     part[w] = part.get(w, 0) + x * y
-        if m:
-            out.append({w: r for w, c in part.items() if (r := c % m)})
-        else:
-            out.append({w: c for w, c in part.items() if c})
+        out.append(_canonical(part, m))
     return out
 
 
-def _apply_runs(parts: list[dict], runs, m: int, cap: int):
-    """Multiply parts, kept by degree, by the expansion of each run in place.
+def _apply_run(parts: list[dict], i: int, k: int, m: int, cap: int):
+    """Multiply parts, kept by degree, by the expansion of the run xi^k in place.
 
-    A run xi^k with k > 0 multiplies by (1 + xi)^k: degree d gains
+    With k > 0 this multiplies by (1 + xi)^k: degree d gains
     sum_j binom(k, j) parts[d-j] xi^j over 1 <= j <= min(k, d), and the
     degrees are updated from the cap down, so each reads parts[d-j] from
-    before the run.  A run with k < 0 divides by (1 + xi)^|k|, whose
-    constant term is 1, so over every Z/m the quotient r is unique: degree d
-    of r is parts[d] - sum_j binom(|k|, j) r[d-j] xi^j, and the degrees are
-    updated from 1 up, so each reads parts[d-j] already divided.  Either
-    sign costs min(|k|, cap) terms, and a coefficient that becomes 0 is
-    dropped at once.
+    before the run.  With k < 0 it divides by (1 + xi)^|k|, whose constant
+    term is 1, so over every Z/m the quotient r is unique: degree d of r is
+    parts[d] - sum_j binom(|k|, j) r[d-j] xi^j, and the degrees are updated
+    from 1 up, so each reads parts[d-j] already divided.  Either sign costs
+    min(|k|, cap) terms, and a coefficient that becomes 0 is dropped at once.
     """
-    for i, k in runs:
-        # (j, xi^j, +-binom(|k|, j)) for the run's nonzero binomials, j >= 1
-        n = abs(k)
-        terms = []
-        c = 1
-        for j in range(1, min(n, cap) + 1):
-            c = c * (n - j + 1) // j
-            if r := c % m if m else c:
-                terms.append((j, (i,) * j, r if k > 0 else -r))
-        for d in range(cap, 0, -1) if k > 0 else range(1, cap + 1):
-            part = parts[d]
-            for j, tail, b in terms:
-                if j > d:
-                    break
-                for u, a in parts[d - j].items():
-                    w = u + tail
-                    v = part.get(w, 0) + a * b
-                    if m:
-                        v %= m
-                    if v:
-                        part[w] = v
-                    else:
-                        part.pop(w, None)
+    # (j, xi^j, +-binom(|k|, j)) for the run's nonzero binomials, j >= 1
+    n = abs(k)
+    terms = []
+    c = 1
+    for j in range(1, min(n, cap) + 1):
+        c = c * (n - j + 1) // j
+        if r := c % m if m else c:
+            terms.append((j, (i,) * j, r if k > 0 else -r))
+    for d in range(cap, 0, -1) if k > 0 else range(1, cap + 1):
+        part = parts[d]
+        for j, tail, b in terms:
+            if j > d:
+                break
+            for u, a in parts[d - j].items():
+                w = u + tail
+                v = part.get(w, 0) + a * b
+                if m:
+                    v %= m
+                if v:
+                    part[w] = v
+                else:
+                    part.pop(w, None)
 
 
 def _walk(parts: list[dict], program, m: int, cap: int) -> list[dict]:
     """parts times the expansion of a word's program (see GroupWord).
 
-    Runs are applied in place.  A power node (body, q) expands body once
-    and multiplies parts by it |q| times by repeated squaring, O(log |q|)
-    products; a node with q < 0 takes the |q|-th power of the inverse body,
-    so no series is ever inverted.
+    A run node (i, k) is applied in place.  A power node (body, q) expands
+    body once and multiplies parts by it |q| times by repeated squaring,
+    O(log |q|) products; a node with q < 0 takes the |q|-th power of the
+    inverse body, so no series is ever inverted.
     """
-    for node in program:
-        body, q = node
+    for body, q in program:
         if type(body) is int:
-            _apply_runs(parts, (node,), m, cap)
+            _apply_run(parts, body, q, m, cap)
             continue
         if q < 0:
             body, q = _inverse(body), -q
-        base = _walk([{(): 1}] + [{} for _ in range(cap)], body, m, cap)
+        base = _walk(_one(m, cap), body, m, cap)
         while True:
             if q & 1:
                 parts = _product(parts, base, m, cap)
@@ -244,23 +232,20 @@ def _walk(parts: list[dict], program, m: int, cap: int) -> list[dict]:
 def magnus(g: GroupWord, ring: RingSpec, cap: int) -> TruncSeries:
     """The truncated Magnus expansion of a group word.
 
-    The coefficients are kept by degree, parts[d].  A word costs one pass
-    per run (`_apply_runs`), however long the runs, unless it keeps a
-    program that `GroupWord.program_at` estimates cheaper at this cap.  The
-    program is walked instead (`_walk`): a power u^q then costs O(log |q|)
-    truncated products, not |q| passes over u's runs.  The expansion is a
-    homomorphism, so both give the same series.
+    The coefficients are kept by degree, parts[d].  `_walk` goes over
+    `GroupWord.program_at(cap)`: the word's runs, one pass each however
+    long, or the program that keeps its powers when that is estimated
+    cheaper at this cap, so that a power u^q costs O(log |q|) truncated
+    products, not |q| passes over u's runs.  The expansion is a
+    homomorphism, so both give the same series.  A cap whose cap + 1
+    degrees exceed MAX_CELLS is refused before any is made.
     """
     if cap < 1:
         raise ValueError(f"degree cap must be >= 1, got {cap}")
+    check_cells(f"the Magnus expansion at cap {cap}", "one per degree 0..cap", cap + 1)
     m = ring.modulus
-    parts: list[dict[Monomial, int]] = [{(): 1}] + [{} for _ in range(cap)]
-    program = g.program_at(cap)
-    if program is g.runs:
-        _apply_runs(parts, program, m, cap)
-    else:
-        parts = _walk(parts, program, m, cap)
-    return TruncSeries._trusted(ring, g.alphabet_size, cap, _joined(parts))
+    parts = _walk(_one(m, cap), g.program_at(cap), m, cap)
+    return TruncSeries._trusted(ring, g.alphabet_size, cap, parts)
 
 
 def series_json(series: TruncSeries) -> dict:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import prod
 
-from .coeff import integer_rank
+from .coeff import MAX_CELLS, check_cells, integer_rank
 from .emap import _prime_factors
 from .words import (
     BasicCommutator,
@@ -33,10 +33,6 @@ from .words import (
     lyndon_words,
     realize,
 )
-
-# Largest pairing matrix built: entries plus column-label letters,
-# (rows + n) * k**n.  Checked before any of it is enumerated.
-MAX_CELLS = 10**7
 
 
 def necklace(m: int, n: int) -> int:
@@ -88,18 +84,6 @@ def _lie_polynomial(bc: BasicCommutator, k: int) -> dict[int, int]:
             out[uv] = out.get(uv, 0) + a * b
             out[vu] = out.get(vu, 0) - a * b
     return {w: c for w, c in out.items() if c}
-
-
-def check_cells(what: str, formula: str, cells: int | None) -> None:
-    """Refuse a build of more than MAX_CELLS cells before any of it is made.
-
-    `cells` is the count, given by `formula`, or None when the caller knows
-    it is over the limit without computing it.
-    """
-    if cells is not None and cells <= MAX_CELLS:
-        return
-    count = f"more than {MAX_CELLS}" if cells is None else cells
-    raise ValueError(f"{what} needs {count} cells ({formula}), over the limit of {MAX_CELLS}")
 
 
 def pairing_matrix(alphabet_size: int, n: int) -> PairingMatrix:

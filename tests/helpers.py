@@ -214,6 +214,17 @@ def random_series(rng: random.Random, ring, alphabet_size: int, cap: int,
     return TruncSeries(ring, alphabet_size, cap, coeffs)
 
 
+def divisor_witness_by_scan(s: TruncSeries, divisors):
+    """The first term in (length, lex) order whose degree d is in
+    1..len(divisors) and whose coefficient is not a multiple of
+    divisors[d - 1], as (d, w, c), or None; only 0 is a multiple of 0."""
+    for w, c in sorted(s.coeffs.items(), key=lambda term: (len(term[0]), term[0])):
+        d = len(w)
+        if 1 <= d <= len(divisors) and (c % divisors[d - 1] if divisors[d - 1] else c):
+            return (d, w, c)
+    return None
+
+
 def condition_iii_by_factoring(e, n_max: int):
     """The first violation (n, i, r, p) of the valuation condition, or None.
 

@@ -9,9 +9,9 @@ import pytest
 
 import filtrate.cli as cli
 from filtrate import filt
+from filtrate.coeff import MAX_CELLS
 from filtrate.emap import MAX_ENTRY_BITS, PRIME_LIMIT
 from filtrate.magnus import magnus
-from filtrate.massey import MAX_CELLS
 from filtrate.words import (
     MAX_RUNS,
     GroupWord,
@@ -639,6 +639,22 @@ def test_product_sampler_under_the_cell_limit_answers(level, alphabet):
     assert proc.returncode == 0 and proc.stderr == ""
     assert elapsed < 5
     assert len(json.loads(proc.stdout)["words"]) == 1
+
+
+@pytest.mark.parametrize("cap", ["10000000", "99999999999"])
+def test_magnus_cap_over_the_cell_limit_exits_three(cap):
+    # the cap + 1 degrees are counted before any is made, so neither cap
+    # allocates its degrees or loops over them
+    proc, elapsed = run_child(["magnus", "--word", "x1", "--cap", cap, "--alphabet", "1"],
+                              address_space=1 << 30)
+    assert proc.returncode == 3 and proc.stderr == ""
+    assert proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout)["error"] == {
+        "kind": "precondition",
+        "message": f"the Magnus expansion at cap {cap} needs {int(cap) + 1} cells"
+                   f" (one per degree 0..cap), over the limit of {MAX_CELLS}",
+    }
+    assert elapsed < 1
 
 
 def test_a_wrong_power_node_product_makes_the_routes_disagree(monkeypatch, capsys):

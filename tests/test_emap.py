@@ -20,6 +20,7 @@ from filtrate.emap import (
     check_binomial,
     check_condition_iii,
     check_descending,
+    divisor_witness,
     ideal_divisors,
     ideal_member,
     ideal_member_witness,
@@ -32,6 +33,7 @@ from filtrate.magnus import TruncSeries
 from helpers import (
     condition_iii_by_factoring,
     decompose_in_ideal,
+    divisor_witness_by_scan,
     gcdseq_by_subsets,
     random_descending_table,
     random_row_table,
@@ -305,6 +307,22 @@ def test_ideal_member_witness_order_and_content():
     assert witness == (1, (1,), 4)
     s2 = TruncSeries(ZZ, 2, 3, {(1,): 8, (2,): 8, (1, 2): 2})
     assert ideal_member_witness(s2, e, 4) == (2, (1, 2), 2)
+
+
+def test_divisor_witness_matches_a_length_lex_scan():
+    # divisor lists hold 0 and 1 and may run past the cap, where no degree
+    # is left to read
+    rng = random.Random(91)
+    found = past_cap = 0
+    for _ in range(600):
+        cap = rng.randint(1, 5)
+        s = random_series(rng, ZZ, rng.randint(1, 3), cap, terms=rng.randint(0, 20), bound=12)
+        divisors = [rng.choice((0, 1, 1, 2, 3, 4, 6)) for _ in range(rng.randint(0, cap + 3))]
+        witness = divisor_witness(s, divisors)
+        assert witness == divisor_witness_by_scan(s, divisors), (s, divisors)
+        found += witness is not None
+        past_cap += len(divisors) > cap
+    assert found > 200 and past_cap > 100, (found, past_cap)
 
 
 def test_ideal_member_preconditions():

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from filtrate.coeff import RingSpec, ZZ
+from filtrate.coeff import MAX_CELLS, RingSpec, ZZ
 from filtrate.emap import (
     ConstantEMap,
     EMap,
@@ -33,7 +33,6 @@ from filtrate.filt import (
     series_witness,
 )
 from filtrate.magnus import TruncSeries, coefficient, magnus
-from filtrate.massey import MAX_CELLS
 from filtrate.words import (
     GroupWord,
     basic_commutator,

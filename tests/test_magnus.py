@@ -331,8 +331,8 @@ POWER_RINGS = tuple(RingSpec(m) for m in (0, 1, 2, 4, 6, 9, 12))
 def _walked(program, ring, k, cap):
     """The expansion of a program through the power-node walk, whatever the
     cost rule in `magnus` would choose."""
-    parts = magnus_module._walk([{(): 1}] + [{} for _ in range(cap)], program, ring.modulus, cap)
-    return TruncSeries._trusted(ring, k, cap, magnus_module._joined(parts)).coeffs
+    parts = magnus_module._walk(magnus_module._one(ring.modulus, cap), program, ring.modulus, cap)
+    return TruncSeries._trusted(ring, k, cap, parts).coeffs
 
 
 def test_power_programs_match_letter_by_letter():
@@ -370,6 +370,31 @@ def test_large_powers_match_letter_by_letter():
         want = TruncSeries(ring, k, cap, magnus_by_letters(letters, ring.modulus, cap)).coeffs
         assert _walked(((base_program, q),), ring, k, cap) == want, (text, ring, cap)
         assert magnus(g, ring, cap).coeffs == want, (text, ring, cap)
+    assert walked >= 20, walked
+
+
+def test_magnus_results_are_canonical_by_degree():
+    # magnus's parts are wrapped as they are, not reduced again: each degree
+    # holds only its own monomials, with reduced nonzero coefficients
+    rng = random.Random(73)
+    walked = 0
+    for _ in range(300):
+        ring = rng.choice(tuple(RingSpec(m) for m in (0, 1, 2, 4, 6)))
+        m = ring.modulus
+        cap = rng.randint(1, 6)
+        k = rng.randint(1, 3)
+        text = random_power_expression(rng, k, 2, range(-3, 4))[0]
+        if rng.random() < 0.5:
+            text = f"({text})^{rng.choice((-100, 64, 257))}"
+        g = parse_word(text, k)
+        walked += g.program_at(cap) is not g.runs
+        s = magnus(g, ring, cap)
+        assert len(s.parts) == cap + 1
+        for d, part in enumerate(s.parts):
+            assert all(len(w) == d for w in part), (text, ring, cap)
+            assert all(c != 0 and (not m or 0 <= c < m) for c in part.values()), (text, ring, cap)
+        assert s.parts[0] == ({} if m == 1 else {(): 1})
+        assert s == TruncSeries(ring, k, cap, s.coeffs), (text, ring, cap)
     assert walked >= 20, walked
 
 
