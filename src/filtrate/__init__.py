@@ -21,9 +21,7 @@ from .emap import (
     parse_emap,
 )
 from .filt import (
-    AFiltration,
     FiltrationSpec,
-    QZassenhaus,
     SampleBudget,
     member_kernels,
     member_series,

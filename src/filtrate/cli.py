@@ -31,6 +31,8 @@ from . import __version__
 from .coeff import parse_ring
 from .emap import (
     LimitError,
+    SequenceGcdEMap,
+    ZassenhausEMap,
     check_binomial,
     check_condition_iii,
     check_descending,
@@ -38,9 +40,7 @@ from .emap import (
     spec_ints,
 )
 from .filt import (
-    AFiltration,
     FiltrationSpec,
-    QZassenhaus,
     SampleBudget,
     kernel_witness,
     phi,
@@ -123,15 +123,17 @@ def _witness_json(witness) -> dict | None:
 
 
 def _parse_scheme(text: str):
+    """The sampler and the table it draws from: afilt:<a1>,... and zass:<p>,<t>
+    are the recursions of gcdseq:<a1>,... and zass:<p>,<t>."""
     text = text.strip()
     kind, sep, body = text.partition(":")
     try:
         if sep and kind == "afilt":
-            return AFiltration(spec_ints(body))
+            return sample_recursive, SequenceGcdEMap(spec_ints(body))
         if sep and kind == "zass":
-            return QZassenhaus(*spec_ints(body, 2))
+            return sample_recursive, ZassenhausEMap(*spec_ints(body, 2))
         if sep and kind == "product":
-            return parse_emap(body)
+            return product_sampler, parse_emap(body)
     except LimitError as exc:
         raise _CliError(3, "precondition", str(exc)) from exc
     except ValueError as exc:
@@ -192,12 +194,8 @@ def _cmd_rep(args) -> tuple[int, dict]:
 
 
 def _cmd_sample(args) -> tuple[int, dict]:
-    scheme = _parse_scheme(args.scheme)
-    budget = SampleBudget(count=args.count)
-    if isinstance(scheme, (AFiltration, QZassenhaus)):
-        words = sample_recursive(scheme, args.level, args.alphabet, budget, args.seed)
-    else:
-        words = product_sampler(scheme, args.level, args.alphabet, budget, args.seed)
+    sampler, table = _parse_scheme(args.scheme)
+    words = sampler(table, args.level, args.alphabet, SampleBudget(count=args.count), args.seed)
     return 0, {
         "scheme": args.scheme,
         "level": args.level,

@@ -170,11 +170,14 @@ class SequenceGcdEMap(EMap):
             raise ValueError("sequence entries must be >= 0")
         self.seq = seq
 
-    def row(self, n):
+    def _check_length(self, n):
         if len(self.seq) < n - 1:
             raise ValueError(
                 f"need {n - 1} sequence entries for level {n}, have {len(self.seq)}"
             )
+
+    def row(self, n):
+        self._check_length(n)
         g = [1] + [0] * (n - 1)
         for a in self.seq[: n - 1]:
             # from the top down, so each step reads g_{j-1} before a
@@ -185,6 +188,18 @@ class SequenceGcdEMap(EMap):
 
     def _value(self, n, i):
         return self.row(n)[i - 1]
+
+    # Lazard's recursion for this table: level n is generated by the
+    # a_{n-1}-th powers of level n - 1 and the commutators [level n - 1, level 1]
+    def power_exponent(self, n):
+        self._check_length(n)
+        return self.seq[n - 2]
+
+    def power_level(self, n):
+        return n - 1
+
+    def splittings(self, n):
+        return [(n - 1, 1)]
 
     def describe(self):
         return "gcdseq:" + ",".join(str(a) for a in self.seq)
@@ -215,6 +230,18 @@ class ZassenhausEMap(EMap):
             j += 1
         return _entry_power(n, i, self.p, self.t * j)
 
+    # the recursion for this table: level n is generated by the p^t-th powers
+    # of level ceil(n/p), which is the entry e(n, ceil(n/p)) = p^t, and the
+    # commutators [level s, level n - s] over every splitting
+    def power_exponent(self, n):
+        return self._value(n, self.power_level(n))
+
+    def power_level(self, n):
+        return -(-n // self.p)
+
+    def splittings(self, n):
+        return [(s, n - s) for s in range(1, n)]
+
     def describe(self):
         return f"zass:{self.p},{self.t}"
 
@@ -223,13 +250,21 @@ class ZassenhausEMap(EMap):
 
 
 class ExplicitEMap(EMap):
-    """Values from a finite table of rows {n: (e(n,1), ..., e(n,n))}."""
+    """Values from a finite table of rows {n: (e(n,1), ..., e(n,n))}.
+
+    Indices and values must be ints (a bool is not one): a table read from
+    JSON is checked, not cast."""
 
     def __init__(self, table):
         clean = {}
         for n, values in table.items():
-            n = int(n)
-            values = tuple(int(v) for v in values)
+            if type(n) is not int:
+                raise ValueError(f"row index must be an integer, got {n!r}")
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"row {n} must be a list of values, got {values!r}")
+            if bad := [v for v in values if type(v) is not int]:
+                raise ValueError(f"row {n} values must be integers, got {bad[0]!r}")
+            values = tuple(values)
             if n < 1:
                 raise ValueError(f"row index must be >= 1, got {n}")
             if len(values) != n:

@@ -36,7 +36,7 @@ from itertools import product
 from math import comb, lcm
 
 from .coeff import MAX_CELLS, RingSpec, ZZ, check_cells
-from .emap import EMap, _is_prime, check_descending, divisor_witness, ideal_divisors
+from .emap import EMap, check_descending, divisor_witness, ideal_divisors
 from .magnus import magnus
 from .massey import necklace
 from .words import (
@@ -246,92 +246,48 @@ class SampleBudget:
     def __post_init__(self):
         if self.count < 0 or self.max_factor_length < 1:
             raise ValueError("budget fields out of range")
+        # the samplers return one word per count: refused before any is drawn
+        check_cells("the sample count", "one word each", self.count)
 
 
-@dataclass(frozen=True)
-class AFiltration:
-    """Recursion scheme: level n is generated by (level n-1)^a_{n-1} and
-    commutators [level n-1, level 1]."""
-
-    exponents: tuple[int, ...]
-
-    def __init__(self, exponents):
-        object.__setattr__(self, "exponents", tuple(int(a) for a in exponents))
-        if any(a < 0 for a in self.exponents):
-            raise ValueError("exponents must be >= 0")
-
-    def power_exponent(self, n: int) -> int:
-        if len(self.exponents) < n - 1:
-            raise ValueError(f"need {n - 1} exponents for level {n}, have {len(self.exponents)}")
-        return self.exponents[n - 2]
-
-    def power_level(self, n: int) -> int:
-        return n - 1
-
-    def splittings(self, n: int):
-        return [(n - 1, 1)]
-
-
-@dataclass(frozen=True)
-class QZassenhaus:
-    """Recursion scheme: level n is generated by (level ceil(n/p))^q and
-    commutators [level s, level t] over all splittings s + t = n, q = p^t."""
-
-    p: int
-    t: int = 1
-
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.t < 1:
-            raise ValueError(f"t must be >= 1, got {self.t}")
-
-    def power_exponent(self, n: int) -> int:
-        return self.p ** self.t
-
-    def power_level(self, n: int) -> int:
-        return -(-n // self.p)
-
-    def splittings(self, n: int):
-        return [(s, n - s) for s in range(1, n)]
-
-
-def _sample_element(scheme, n, alphabet_size, budget, rng) -> GroupWord:
+def _sample_element(e, n, alphabet_size, budget, rng) -> GroupWord:
     if n == 1:
         return random_word(alphabet_size, budget.max_factor_length, rng)
     out = GroupWord(alphabet_size)
     for _ in range(rng.randint(1, FANOUT)):
-        f = scheme.power_exponent(n)
+        f = e.power_exponent(n)
         # a zero power exponent generates only the trivial subgroup, so the
         # power option disappears and the factor must be a commutator
         if f > 0 and rng.random() < 0.5:
-            u = _sample_element(scheme, scheme.power_level(n), alphabet_size, budget, rng)
+            u = _sample_element(e, e.power_level(n), alphabet_size, budget, rng)
             factor = u ** f
         else:
-            s, t = rng.choice(scheme.splittings(n))
-            u = _sample_element(scheme, s, alphabet_size, budget, rng)
-            v = _sample_element(scheme, t, alphabet_size, budget, rng)
+            s, t = rng.choice(e.splittings(n))
+            u = _sample_element(e, s, alphabet_size, budget, rng)
+            v = _sample_element(e, t, alphabet_size, budget, rng)
             factor = commutator(u, v)
         out = out * factor
     return out
 
 
 def sample_recursive(
-    scheme, level: int, alphabet_size: int,
+    e: EMap, level: int, alphabet_size: int,
     budget: SampleBudget = SampleBudget(), seed: int = 0,
 ) -> list[GroupWord]:
-    """Random elements of the level-n recursion subgroup, members by construction.
+    """Random elements of the level-n subgroup of the recursion that the
+    table e defines (a `SequenceGcdEMap` or a `ZassenhausEMap`), members of
+    its level-n term by construction.
 
-    Each sample is a product of at most FANOUT factors, every factor either a
-    power_exponent-th power from the power_level or a commutator across an
-    allowed splitting; recursion bottoms out at level 1 with short random
-    words.  Deterministic for a fixed seed.
+    Each sample is a product of at most FANOUT factors, every factor either
+    an e.power_exponent(n)-th power from level e.power_level(n) or a
+    commutator across one of e.splittings(n); recursion bottoms out at level
+    1 with short random words.  Deterministic for a fixed seed.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
     rng = random.Random(seed)
     return [
-        _sample_element(scheme, level, alphabet_size, budget, rng)
+        _sample_element(e, level, alphabet_size, budget, rng)
         for _ in range(budget.count)
     ]
 

@@ -19,9 +19,7 @@ from filtrate.emap import (
     ideal_member,
 )
 from filtrate.filt import (
-    AFiltration,
     FiltrationSpec,
-    QZassenhaus,
     SampleBudget,
     member_kernels,
     member_series,
@@ -77,7 +75,7 @@ def test_acceptance_1_two_route_agreement(capsys):
                 words = [random_reduced_word(rng, k, 10) for _ in range(44)]
                 words += product_sampler(emap, level, k, sample_budget,
                                          seed=rng.randint(0, 10**6))
-                words += sample_recursive(QZassenhaus(2, 1), level, k, recursive_budget,
+                words += sample_recursive(ZassenhausEMap(2, 1), level, k, recursive_budget,
                                           seed=rng.randint(0, 10**6))
                 for g in words:
                     s = member_series(g, spec)
@@ -157,32 +155,33 @@ def test_acceptance_4_recursive_sampler_containment(capsys):
     start = time.perf_counter()
     budget = SampleBudget(count=200, max_factor_length=3)
     small = SampleBudget(count=30, max_factor_length=3)
-    pairs = [
-        (AFiltration((2, 3, 4, 5)), SequenceGcdEMap((2, 3, 4, 5))),
-        (AFiltration((0, 0, 0, 0)), SequenceGcdEMap((0, 0, 0, 0))),
-        (QZassenhaus(2, 1), ZassenhausEMap(2, 1)),
-        (QZassenhaus(3, 1), ZassenhausEMap(3, 1)),
+    # each table samples from its own recursion
+    emaps = [
+        SequenceGcdEMap((2, 3, 4, 5)),
+        SequenceGcdEMap((0, 0, 0, 0)),
+        ZassenhausEMap(2, 1),
+        ZassenhausEMap(3, 1),
     ]
     checked = 0
     failures = []
-    for scheme, emap in pairs:
+    for emap in emaps:
         for level in (2, 3, 4, 5):
             spec = FiltrationSpec(emap, level)
-            for g in sample_recursive(scheme, level, 2, budget, seed=104 + level):
+            for g in sample_recursive(emap, level, 2, budget, seed=104 + level):
                 if not member_series(g, spec):
-                    failures.append((scheme, level, g))
+                    failures.append((emap, level, g))
                 checked += 1
     # a permuted exponent prefix generates the same level-5 subgroup
     target = FiltrationSpec(SequenceGcdEMap((2, 3, 4, 5)), 5)
     for perm in ((3, 2, 5, 4), (5, 4, 3, 2), (4, 5, 2, 3)):
-        for g in sample_recursive(AFiltration(perm), 5, 2, small, seed=105):
+        for g in sample_recursive(SequenceGcdEMap(perm), 5, 2, small, seed=105):
             if not member_series(g, target):
                 failures.append(("perm", perm, g))
             checked += 1
     # each level sits inside the one above it
     for level in (3, 4, 5):
         lower = FiltrationSpec(ZassenhausEMap(2, 1), level - 1)
-        for g in sample_recursive(QZassenhaus(2, 1), level, 2, small, seed=106 + level):
+        for g in sample_recursive(ZassenhausEMap(2, 1), level, 2, small, seed=106 + level):
             if not member_series(g, lower):
                 failures.append(("chain", level, g))
             checked += 1
@@ -205,7 +204,7 @@ def test_acceptance_5_prime_power_cross_ring(capsys):
             spec = FiltrationSpec(ZassenhausEMap(p, 1), n)
             pool = [random_reduced_word(rng, 2, 10) for _ in range(30)]
             pool += sample_recursive(
-                QZassenhaus(p, 1), n, 2,
+                ZassenhausEMap(p, 1), n, 2,
                 SampleBudget(count=10, max_factor_length=3),
                 seed=rng.randint(0, 10**6),
             )

@@ -184,7 +184,8 @@ def test_product_sampler_on_one_letter(capsys, scheme):
         assert code == 0 and verdict["member"] is True
 
 
-@pytest.mark.parametrize("scheme", ["zass:2", "afilt:", "afilt:2,x", "zass:4,1", "bogus:1", "zass"])
+@pytest.mark.parametrize("scheme", ["zass:2", "afilt:", "afilt:2,x", "afilt:-1", "zass:4,1",
+                                    "bogus:1", "zass"])
 def test_bad_scheme_specs_are_parse_errors(capsys, scheme):
     code, report, _ = run(capsys, [
         "sample", "--scheme", scheme, "--level", "2", "--alphabet", "2",
@@ -192,6 +193,35 @@ def test_bad_scheme_specs_are_parse_errors(capsys, scheme):
     assert code == 2
     assert report["error"]["kind"] == "parse"
     assert report["error"]["message"].startswith(f"bad scheme spec {scheme!r}")
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_oversized_zassenhaus_power_exponent_exits_three(capsys, seed):
+    # the power exponent is the table's entry e(2, 1), so its bit limit
+    # refuses it before any sample is drawn, whichever way the seed goes
+    code, report, raw = run(capsys, ["sample", "--scheme", "zass:2,100000", "--level", "2",
+                                     "--alphabet", "2", "--seed", seed])
+    assert code == 3 and raw.count("\n") == 1
+    assert report["error"] == {
+        "kind": "precondition",
+        "message": f"table entry e(2,1) has up to 200000 bits, over the limit of {MAX_ENTRY_BITS}",
+    }
+
+
+@pytest.mark.parametrize("scheme", ["product:trivial", "zass:2,1"])
+def test_sample_count_over_the_cell_limit_exits_three(scheme):
+    # one word per count: refused before the list of words is made
+    count = 10**9
+    proc, elapsed = run_child(["sample", "--scheme", scheme, "--level", "3", "--alphabet", "1",
+                               "--count", str(count)], address_space=1 << 30)
+    assert proc.returncode == 3 and proc.stderr == ""
+    assert proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout)["error"] == {
+        "kind": "precondition",
+        "message": f"the sample count needs {count} cells (one word each),"
+                   f" over the limit of {MAX_CELLS}",
+    }
+    assert elapsed < 1
 
 
 def test_padded_scheme_spec(capsys):
@@ -234,6 +264,26 @@ def test_emap_check_non_descending_table(tmp_path, capsys):
     assert report["descending"]["violation"] == [3, 1]
     assert report["binomial"] is None
     assert report["condition_iii"] is None
+
+
+@pytest.mark.parametrize("row, message", [
+    ('{"n": 2, "values": [1e400, 1]}', "row 2 values must be integers, got inf"),
+    ('{"n": 2, "values": [2.9, 1]}', "row 2 values must be integers, got 2.9"),
+    ('{"n": 2, "values": [2.0, 1]}', "row 2 values must be integers, got 2.0"),
+    ('{"n": 2, "values": [true, 1]}', "row 2 values must be integers, got True"),
+    ('{"n": 2, "values": ["6", 1]}', "row 2 values must be integers, got '6'"),
+    ('{"n": "3", "values": [6, 2, 1]}', "row index must be an integer, got '3'"),
+    ('{"n": false, "values": []}', "row index must be an integer, got False"),
+    ('{"n": 3, "values": "121"}', "row 3 must be a list of values, got '121'"),
+], ids=["overflow", "float", "integral-float", "bool", "string", "string-index", "bool-index",
+         "string-values"])
+def test_file_tables_take_json_integers_only(tmp_path, capsys, row, message):
+    path = tmp_path / "table.json"
+    path.write_text(f'[{{"n": 1, "values": [1]}}, {row}]')
+    code, report, raw = run(capsys, ["emap-check", "--emap", f"file:{path}", "--nmax", "2"])
+    assert code == 2 and raw.count("\n") == 1
+    assert report["error"] == {"kind": "parse",
+                               "message": f"filtrate emap-check: argument --emap: {message}"}
 
 
 def test_massey_emit_matrix_exact_bytes(capsys):

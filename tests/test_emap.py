@@ -451,23 +451,52 @@ def _condition_2(e, f, g, n_max):
     return None
 
 
+def _own_splittings(e, total):
+    return [pair for n in range(2, total + 1) for pair in e.splittings(n)]
+
+
 def test_recursion_conditions_for_prefix_gcd_scheme():
+    # the conditions are read through the table's own recursion
     rng = random.Random(48)
     for _ in range(10):
         seq = tuple(rng.randint(0, 12) for _ in range(9))
         e = SequenceGcdEMap(seq)
-        splittings = [(s, 1) for s in range(1, 10)]
-        assert _condition_1(e, splittings, 10) is None, seq
-        assert _condition_2(e, lambda n: seq[n - 2], lambda n: n - 1, 8) is None, seq
+        assert _own_splittings(e, 10) == [(s, 1) for s in range(1, 10)]
+        assert _condition_1(e, _own_splittings(e, 10), 10) is None, seq
+        assert _condition_2(e, e.power_exponent, e.power_level, 8) is None, seq
 
 
 def test_recursion_conditions_for_power_scheme():
     for p, t in ((2, 1), (2, 2), (3, 1), (5, 1)):
         e = ZassenhausEMap(p, t)
-        splittings = [(s, t2) for s in range(1, 10) for t2 in range(1, 10)]
+        splittings = _own_splittings(e, 10)
+        assert sorted(splittings) == [(s, t2) for s in range(1, 10) for t2 in range(1, 11 - s)]
         assert _condition_1(e, splittings, 10) is None, (p, t)
-        q = p ** t
-        assert _condition_2(e, lambda n: q, lambda n: -(-n // p), 8) is None, (p, t)
+        assert _condition_2(e, e.power_exponent, e.power_level, 8) is None, (p, t)
+
+
+def test_sequence_recursion_reads_the_sequence():
+    e = SequenceGcdEMap((2, 0, 5))
+    assert [e.power_exponent(n) for n in (2, 3, 4)] == [2, 0, 5]
+    assert [e.power_level(n) for n in (2, 3, 4)] == [1, 2, 3]
+    assert e.splittings(4) == [(3, 1)]
+    # a short sequence is refused alike by the recursion and by the table
+    short = SequenceGcdEMap((2,))
+    with pytest.raises(ValueError) as power:
+        short.power_exponent(5)
+    with pytest.raises(ValueError) as row:
+        short.row(5)
+    assert str(power.value) == str(row.value) == "need 4 sequence entries for level 5, have 1"
+
+
+def test_zassenhaus_power_exponent_is_its_own_entry():
+    for p in (2, 3, 5, 7):
+        for t in (1, 2, 3):
+            e = ZassenhausEMap(p, t)
+            for n in range(2, 40):
+                level = -(-n // p)
+                assert e.power_level(n) == level
+                assert e.power_exponent(n) == p ** t == e.evaluate(n, level), (p, t, n)
 
 
 def test_parse_emap():

@@ -20,9 +20,7 @@ from filtrate.emap import (
 )
 from filtrate import filt
 from filtrate.filt import (
-    AFiltration,
     FiltrationSpec,
-    QZassenhaus,
     SampleBudget,
     kernel_witness,
     member_kernels,
@@ -200,7 +198,7 @@ def _member_pool(rng, k, level):
     pool = [random_reduced_word(rng, k, 10) for _ in range(44)]
     budget = SampleBudget(count=10, max_factor_length=3)
     pool += product_sampler(ConstantEMap(2), level, k, budget, seed=rng.randint(0, 10**6))
-    pool += sample_recursive(QZassenhaus(2, 1), level, k, budget, seed=rng.randint(0, 10**6))
+    pool += sample_recursive(ZassenhausEMap(2, 1), level, k, budget, seed=rng.randint(0, 10**6))
     rng.shuffle(pool)
     return pool
 
@@ -230,45 +228,51 @@ def test_route_agreement_fuzz():
 
 def test_sampler_determinism_and_budget():
     budget = SampleBudget(count=8)
-    a = sample_recursive(QZassenhaus(2, 1), 3, 2, budget, seed=9)
-    b = sample_recursive(QZassenhaus(2, 1), 3, 2, budget, seed=9)
+    a = sample_recursive(ZassenhausEMap(2, 1), 3, 2, budget, seed=9)
+    b = sample_recursive(ZassenhausEMap(2, 1), 3, 2, budget, seed=9)
     assert a == b
     c = product_sampler(ConstantEMap(2), 3, 2, budget, seed=9)
     d = product_sampler(ConstantEMap(2), 3, 2, budget, seed=9)
     assert c == d
-    assert sample_recursive(AFiltration((2, 2)), 3, 2, SampleBudget(count=0), seed=1) == []
+    assert sample_recursive(SequenceGcdEMap((2, 2)), 3, 2, SampleBudget(count=0), seed=1) == []
     assert product_sampler(TrivialEMap(), 3, 2, SampleBudget(count=0), seed=1) == []
     with pytest.raises(ValueError):
         SampleBudget(count=-1)
+    # one word per count: a count is refused before any word is drawn
+    assert SampleBudget(count=MAX_CELLS).count == MAX_CELLS
+    with pytest.raises(ValueError, match=rf"^the sample count needs {MAX_CELLS + 1} cells"):
+        SampleBudget(count=MAX_CELLS + 1)
+
+
+def _assert_own_members(e, rng, budget):
+    """Samples of the recursion of table e lie in its own terms at levels
+    2..6, on both routes."""
+    for level in range(2, 7):
+        spec = FiltrationSpec(e, level)
+        for g in sample_recursive(e, level, 2, budget, seed=rng.randint(0, 10**6)):
+            assert series_witness(g, spec) is None, (e, level, g)
+            assert kernel_witness(g, spec) is None, (e, level, g)
 
 
 def test_recursive_samples_are_members_afilt():
     rng = random.Random(56)
     budget = SampleBudget(count=12, max_factor_length=4)
-    for A in ((2, 3, 4, 5), (0, 0, 0, 0), (2, 2, 2, 2)):
-        scheme = AFiltration(A)
-        for level in (2, 3, 4):
-            spec = FiltrationSpec(SequenceGcdEMap(A), level)
-            for g in sample_recursive(scheme, level, 2, budget, seed=rng.randint(0, 10**6)):
-                assert member_series(g, spec), (A, level, g)
+    for A in ((2, 3, 4, 5, 6), (0, 0, 0, 0, 0), (2, 2, 2, 2, 2), (0, 2, 0, 3, 4), (3, 0, 6, 0, 2)):
+        _assert_own_members(SequenceGcdEMap(A), rng, budget)
 
 
 def test_recursive_samples_are_members_zassenhaus():
     rng = random.Random(57)
     budget = SampleBudget(count=12, max_factor_length=4)
-    for p, t in ((2, 1), (3, 1), (2, 2)):
-        scheme = QZassenhaus(p, t)
-        for level in (2, 3, 4):
-            spec = FiltrationSpec(ZassenhausEMap(p, t), level)
-            for g in sample_recursive(scheme, level, 2, budget, seed=rng.randint(0, 10**6)):
-                assert member_series(g, spec), (p, t, level, g)
+    for p, t in ((2, 1), (3, 1), (2, 2), (3, 2)):
+        _assert_own_members(ZassenhausEMap(p, t), rng, budget)
 
 
 def test_zero_sequence_recursion_is_lower_central():
     # all power exponents 0: the recursion degenerates to iterated commutators
     budget = SampleBudget(count=15, max_factor_length=4)
     spec = FiltrationSpec(TrivialEMap(), 3)
-    for g in sample_recursive(AFiltration((0, 0)), 3, 2, budget, seed=58):
+    for g in sample_recursive(SequenceGcdEMap((0, 0)), 3, 2, budget, seed=58):
         assert member_series(g, spec), g
 
 
@@ -281,14 +285,14 @@ def test_permuted_prefix_samples_stay_members():
     for seed, perm in enumerate(permutations(A)):
         if seed % 4:
             continue  # six permutations are plenty
-        for g in sample_recursive(AFiltration(perm), level, 2, budget, seed=59 + seed):
+        for g in sample_recursive(SequenceGcdEMap(perm), level, 2, budget, seed=59 + seed):
             assert member_series(g, spec), (perm, g)
 
 
 def test_zassenhaus_chain_is_decreasing():
     budget = SampleBudget(count=10, max_factor_length=4)
     for level in (3, 4, 5):
-        samples = sample_recursive(QZassenhaus(2, 1), level, 2, budget, seed=60 + level)
+        samples = sample_recursive(ZassenhausEMap(2, 1), level, 2, budget, seed=60 + level)
         lower = FiltrationSpec(ZassenhausEMap(2, 1), level - 1)
         for g in samples:
             assert member_series(g, lower), (level, g)
@@ -304,7 +308,7 @@ def test_cross_ring_prime_power_characterization():
             spec = FiltrationSpec(ZassenhausEMap(p, 1), n)
             pool = [random_reduced_word(rng, 2, 10) for _ in range(30)]
             pool += sample_recursive(
-                QZassenhaus(p, 1), n, 2,
+                ZassenhausEMap(p, 1), n, 2,
                 SampleBudget(count=8, max_factor_length=3), seed=rng.randint(0, 10**6),
             )
             ring = RingSpec(p)
@@ -443,7 +447,7 @@ def test_routes_match_the_full_expansion_oracle():
         pool = _witness_pool(rng, e, level, k)
         if e is gcdseq:
             budget = SampleBudget(count=3, max_factor_length=2)
-            pool += sample_recursive(AFiltration(gcdseq.seq), level, k, budget, seed=level)
+            pool += sample_recursive(gcdseq, level, k, budget, seed=level)
         for g in pool:
             series, kernel = membership_witnesses(g, e, level)
             assert series_witness(g, spec) == series, (g, e, level)
@@ -655,7 +659,7 @@ def test_expansions_stop_at_the_degrees_that_can_decide(monkeypatch):
     assert e.row(7) == (144, 24, 4, 2, 1, 1, 1)
     spec = FiltrationSpec(e, 7)
     budget = SampleBudget(count=2, max_factor_length=2)
-    for g in [parse_word("x1^144", 2)] + sample_recursive(AFiltration(e.seq), 7, 2, budget, seed=3):
+    for g in [parse_word("x1^144", 2)] + sample_recursive(e, 7, 2, budget, seed=3):
         calls.clear()
         tables.clear()
         assert series_witness(g, spec) is None
