@@ -69,6 +69,9 @@ e-map spec grammar:
 
 scheme spec grammar (sample):
     "afilt:<a1>,<a2>,..." | "zass:<p>,<t>" | "product:<e-map spec>"
+
+Numbers in words and specs are written in the ASCII digits 0-9, after
+an optional "-" in an exponent or a spec.
 """
 
 

@@ -44,16 +44,26 @@ def check_cells(what: str, formula: str, cells: int | None) -> None:
     raise ValueError(f"{what} needs {count} cells ({formula}), over the limit of {MAX_CELLS}")
 
 
+def spec_int(text: str) -> int:
+    """An integer of a spec: an optional '-' and the ASCII digits 0-9, with
+    whitespace around them.  int() alone would also take '+', '_' and the
+    digits of other scripts; those raise ValueError in int()'s words."""
+    digits = text.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def parse_ring(text: str) -> RingSpec:
     """Parse a ring spec string: "Z" or "Z/<m>" with m >= 1."""
     text = text.strip()
     if text == "Z":
         return ZZ
     if text.startswith("Z/"):
-        body = text[2:]
-        if not body.isdigit():
-            raise ValueError(f"bad ring spec {text!r}: modulus must be a decimal integer")
-        m = int(body)
+        try:
+            m = spec_int(text[2:])
+        except ValueError as exc:
+            raise ValueError(f"bad ring spec {text!r}: modulus must be a decimal integer") from exc
         if m < 1:
             raise ValueError(f"bad ring spec {text!r}: modulus must be >= 1")
         return RingSpec(m)

@@ -14,7 +14,7 @@ from itertools import accumulate
 from math import comb, gcd
 from typing import NamedTuple
 
-from .coeff import ZZ, divisible
+from .coeff import ZZ, divisible, spec_int
 from .magnus import TruncSeries
 
 # the most bits a computed power entry (zass, const) may have; an entry is
@@ -250,16 +250,19 @@ class ZassenhausEMap(EMap):
 
 
 class ExplicitEMap(EMap):
-    """Values from a finite table of rows {n: (e(n,1), ..., e(n,n))}.
+    """Values from a finite table of rows {n: (e(n,1), ..., e(n,n))}, given
+    as a mapping or as (n, row) pairs.
 
-    Indices and values must be ints (a bool is not one): a table read from
-    JSON is checked, not cast."""
+    Indices and values must be ints (a bool is not one), and no index may
+    come twice: a table read from JSON is checked, not cast or merged."""
 
     def __init__(self, table):
         clean = {}
-        for n, values in table.items():
+        for n, values in table.items() if isinstance(table, dict) else table:
             if type(n) is not int:
                 raise ValueError(f"row index must be an integer, got {n!r}")
+            if n in clean:
+                raise ValueError(f"row {n} appears more than once")
             if not isinstance(values, (list, tuple)):
                 raise ValueError(f"row {n} must be a list of values, got {values!r}")
             if bad := [v for v in values if type(v) is not int]:
@@ -427,8 +430,9 @@ def ideal_member(s: TruncSeries, e: EMap, n: int) -> bool:
 
 
 def spec_ints(body: str, count: int | None = None) -> list[int]:
-    """The comma-separated integers of a spec body, exactly `count` if given."""
-    values = [int(a) for a in body.split(",")]
+    """The comma-separated integers of a spec body (see `spec_int`), exactly
+    `count` if given."""
+    values = [spec_int(a) for a in body.split(",")]
     if count is not None and len(values) != count:
         raise ValueError(f"expected {count} integers, got {len(values)}")
     return values
@@ -449,7 +453,7 @@ def parse_emap(text: str) -> EMap:
         raise ValueError(f"bad e-map spec {text!r}")
     try:
         if kind == "const":
-            return ConstantEMap(int(body))
+            return ConstantEMap(spec_int(body))
         if kind == "gcdseq":
             return SequenceGcdEMap(spec_ints(body))
         if kind == "zass":
@@ -465,8 +469,9 @@ def parse_emap(text: str) -> EMap:
         except (OSError, json.JSONDecodeError) as exc:
             raise ValueError(f"cannot read e-map table {body!r}: {exc}") from exc
         try:
-            table = {row["n"]: row["values"] for row in rows}
+            # pairs, not a dict: a repeated n or n = true beside n = 1 is refused
+            pairs = [(row["n"], row["values"]) for row in rows]
         except (TypeError, KeyError) as exc:
             raise ValueError(f"bad e-map table in {body!r}: expected rows with n and values") from exc
-        return ExplicitEMap(table)
+        return ExplicitEMap(pairs)
     raise ValueError(f"bad e-map spec {text!r}: unknown kind {kind!r}")

@@ -59,12 +59,7 @@ class GroupWord:
         for s in letters:
             if s == 0 or abs(s) > alphabet_size:
                 raise ValueError(f"letter {s} outside alphabet of size {alphabet_size}")
-            i, k = (s, 1) if s > 0 else (-s, -1)
-            if runs and runs[-1][0] == i:
-                k += runs.pop()[1]
-                if not k:
-                    continue
-            runs.append((i, k))
+            _push(runs, ((s, 1) if s > 0 else (-s, -1),))
         object.__setattr__(self, "alphabet_size", alphabet_size)
         object.__setattr__(self, "runs", tuple(runs))
         object.__setattr__(self, "_program", None)
@@ -141,10 +136,9 @@ class GroupWord:
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         self._require_same_alphabet(other)
-        runs = _join(self.runs, other.runs)
-        _check_runs("product", len(runs))
-        pieces = (self._piece(), other._piece()) if self._program or other._program else ()
-        return GroupWord._from_runs(self.alphabet_size, runs, pieces)
+        product = [self], []
+        _times(product, other)
+        return _product(product)
 
     def inverse(self) -> "GroupWord":
         pieces = (self._piece(-1),) if self._program else ()
@@ -190,16 +184,48 @@ def _inverse(runs: tuple) -> tuple:
     return tuple((i, -k) for i, k in reversed(runs))
 
 
-def _join(left: tuple, right: tuple) -> tuple:
-    """Free reduction of two reduced run tuples: only the junction can cancel."""
-    a, b = len(left), 0
-    while a and b < len(right) and left[a - 1][0] == right[b][0]:
-        i, k = right[b][0], left[a - 1][1] + right[b][1]
-        if k:
-            return left[:a - 1] + ((i, k),) + right[b + 1:]
-        a -= 1
+def _push(out: list, runs) -> None:
+    """Extend the reduced run list out by the reduced runs in place: only
+    the junction can cancel or merge, and the rest is appended in one step."""
+    b = 0
+    while out and b < len(runs) and out[-1][0] == runs[b][0]:
+        i, k = runs[b]
+        k += out.pop()[1]
         b += 1
-    return left[:a] + right[b:]
+        if k:
+            out.append((i, k))
+            break
+    out.extend(runs[b:])
+
+
+def _join(left: tuple, right: tuple) -> tuple:
+    """Free reduction of two reduced run tuples."""
+    out = list(left)
+    _push(out, right)
+    return tuple(out)
+
+
+def _times(product: tuple[list, list], w: GroupWord) -> None:
+    """Multiply the open product (factors, runs) by w in place: factors are
+    the words so far, over w's alphabet, and runs, from the second factor
+    on, the runs of their product, checked against the limit."""
+    factors, runs = product
+    if factors:
+        if len(factors) == 1:
+            runs.extend(factors[0].runs)
+        _push(runs, w.runs)
+        _check_runs("product", len(runs))
+    factors.append(w)
+
+
+def _product(product: tuple[list, list]) -> GroupWord:
+    """The word of an open product (see `_times`): a single factor as it is.
+    The factors' pieces are kept only when some factor has a program."""
+    factors, runs = product
+    if len(factors) == 1:
+        return factors[0]
+    pieces = tuple(w._piece() for w in factors) if any(w._program for w in factors) else ()
+    return GroupWord._from_runs(factors[0].alphabet_size, tuple(runs), pieces)
 
 
 def _power_run_count(runs: tuple, k: int) -> int:
@@ -304,11 +330,13 @@ def parse_word(text: str, alphabet_size: int) -> GroupWord:
     Whitespace is insignificant.  "e" is the empty word and "[a,b]" is the
     commutator a^-1 b^-1 a b.  One pass reads the text, keeping the open
     brackets on a list, so the depth it accepts does not depend on the
-    caller's stack.  Raises WordSyntaxError with the offending position on
-    malformed input, on out-of-range generator indices, on a number in
-    anything but ASCII digits or too long for int(), and at a bracket
-    nested more than MAX_NESTING deep; a power, product or commutator of
-    more than MAX_RUNS runs raises ValueError as soon as it is read.
+    caller's stack.  Each factor is reduced onto the product so far as it
+    is read, so a product of n factors is built once.  Raises
+    WordSyntaxError with the offending position on malformed input, on
+    out-of-range generator indices, on a number in anything but ASCII
+    digits or too long for int(), and at a bracket nested more than
+    MAX_NESTING deep; a power, product or commutator of more than MAX_RUNS
+    runs raises ValueError as soon as it is read.
     """
     end = len(text)
 
@@ -320,7 +348,7 @@ def parse_word(text: str, alphabet_size: int) -> GroupWord:
     # open brackets, innermost last: [bracket, product read before it, left
     # word of a commutator once its ',' is read]
     stack = []
-    product = None  # the product read so far inside the innermost bracket
+    product = [], []  # the open product read so far inside the innermost bracket
     pos = 0
     while True:
         pos = skip(pos, str.isspace)
@@ -329,7 +357,7 @@ def parse_word(text: str, alphabet_size: int) -> GroupWord:
             if len(stack) == MAX_NESTING:
                 raise WordSyntaxError("brackets nested too deeply", pos)
             stack.append([ch, product, None])
-            product = None
+            product = [], []
             pos += 1
             continue
         if ch == "x":
@@ -351,20 +379,20 @@ def parse_word(text: str, alphabet_size: int) -> GroupWord:
                 )
                 atom = atom ** exponent
                 pos = skip(pos, str.isspace)
-            product = atom if product is None else product * atom
+            _times(product, atom)
             if text.startswith("*", pos):
                 pos += 1
                 break
             if not stack:
                 if pos != end:
                     raise WordSyntaxError("unexpected character", pos)
-                return product
+                return _product(product)
             bracket, outer, left = stack[-1]
             if bracket == "[" and left is None:
                 if not text.startswith(",", pos):
                     raise WordSyntaxError("expected ',' in commutator", pos)
-                stack[-1][2] = product
-                product = None
+                stack[-1][2] = _product(product)
+                product = [], []
                 pos += 1
                 break
             closer = ")" if bracket == "(" else "]"
@@ -372,7 +400,7 @@ def parse_word(text: str, alphabet_size: int) -> GroupWord:
                 raise WordSyntaxError(f"expected '{closer}'", pos)
             pos += 1
             stack.pop()
-            atom = product if bracket == "(" else commutator(left, product)
+            atom = _product(product) if bracket == "(" else commutator(left, _product(product))
             product = outer
 
 

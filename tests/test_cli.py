@@ -185,7 +185,8 @@ def test_product_sampler_on_one_letter(capsys, scheme):
 
 
 @pytest.mark.parametrize("scheme", ["zass:2", "afilt:", "afilt:2,x", "afilt:-1", "zass:4,1",
-                                    "bogus:1", "zass"])
+                                    "bogus:1", "zass", "afilt:\u0662,3", "zass:2,1_0",
+                                    "zass:+2,1"])
 def test_bad_scheme_specs_are_parse_errors(capsys, scheme):
     code, report, _ = run(capsys, [
         "sample", "--scheme", scheme, "--level", "2", "--alphabet", "2",
@@ -284,6 +285,48 @@ def test_file_tables_take_json_integers_only(tmp_path, capsys, row, message):
     assert code == 2 and raw.count("\n") == 1
     assert report["error"] == {"kind": "parse",
                                "message": f"filtrate emap-check: argument --emap: {message}"}
+
+
+@pytest.mark.parametrize("rows, message", [
+    ('{"n": 2, "values": [2, 1]}, {"n": 2, "values": [3, 1]}', "row 2 appears more than once"),
+    ('{"n": true, "values": [1]}', "row index must be an integer, got True"),
+], ids=["repeated", "bool-beside-one"])
+def test_file_tables_take_each_row_once(tmp_path, capsys, rows, message):
+    # keyed as a dict, the second row 2 would win, and true would merge into row 1
+    path = tmp_path / "table.json"
+    path.write_text(f'[{{"n": 1, "values": [1]}}, {rows}]')
+    code, report, raw = run(capsys, ["emap-check", "--emap", f"file:{path}", "--nmax", "2"])
+    assert code == 2 and raw.count("\n") == 1
+    assert report["error"] == {"kind": "parse",
+                               "message": f"filtrate emap-check: argument --emap: {message}"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["magnus", "--word", "x1", "--ring", "Z/\u00b2", "--cap", "1", "--alphabet", "1"],
+     "argument --ring: bad ring spec 'Z/\u00b2': modulus must be a decimal integer"),
+    (["magnus", "--word", "x1", "--ring", "Z/\u0663", "--cap", "1", "--alphabet", "1"],
+     "argument --ring: bad ring spec 'Z/\u0663': modulus must be a decimal integer"),
+    (["emap-check", "--emap", "const:1_0", "--nmax", "2"],
+     "argument --emap: bad e-map spec 'const:1_0': invalid literal for int() with base 10: '1_0'"),
+    (["emap-check", "--emap", "zass:2,1_0", "--nmax", "2"],
+     "argument --emap: bad e-map spec 'zass:2,1_0': invalid literal for int() with base 10: '1_0'"),
+    (["emap-check", "--emap", "gcdseq:2,+3", "--nmax", "2"],
+     "argument --emap: bad e-map spec 'gcdseq:2,+3': invalid literal for int() with base 10: '+3'"),
+])
+def test_spec_integers_are_ascii_digits(capsys, argv, message):
+    code, report, raw = run(capsys, argv)
+    assert code == 2 and raw.count("\n") == 1
+    assert report["error"] == {"kind": "parse", "message": f"filtrate {argv[0]}: {message}"}
+
+
+def test_spec_integers_keep_a_sign_and_whitespace(capsys):
+    magnus = ["magnus", "--word", "x1", "--cap", "1", "--alphabet", "1", "--ring"]
+    code, report, _ = run(capsys, [*magnus, "Z/ 5"])
+    assert code == 0 and report["series"]["ring"] == "Z/5"
+    code, report, _ = run(capsys, [*magnus, "Z/-3"])
+    assert code == 2 and report["error"]["message"].endswith("'Z/-3': modulus must be >= 1")
+    code, report, _ = run(capsys, ["emap-check", "--emap", "zass: 2 , 1", "--nmax", "2"])
+    assert code == 0 and report["emap"] == "zass:2,1"
 
 
 def test_massey_emit_matrix_exact_bytes(capsys):
@@ -584,6 +627,19 @@ def test_oversized_products_and_commutators_exit_three(word, message):
     error = json.loads(proc.stdout)["error"]
     assert error == {"kind": "precondition", "message": f"{message}, over the limit of {MAX_RUNS}"}
     assert elapsed < 0.5
+
+
+def test_a_long_product_parses_in_one_pass(tmp_path):
+    # copying the product at every factor would make this quadratic: about a minute
+    word = "*".join(f"x{1 + i % 2}" for i in range(120_000))
+    jobs = tmp_path / "jobs.json"
+    jobs.write_text(json.dumps([{"command": "member", "parameters": {
+        "word": word, "emap": "trivial", "level": 2, "alphabet": 2}}]))
+    proc, elapsed = run_child(["batch", "--jobs", str(jobs)])
+    assert proc.returncode == 0 and proc.stderr == ""
+    (job,) = json.loads(proc.stdout)["jobs"]
+    assert job["exit"] == 0 and job["report"]["word"] == word
+    assert elapsed < 10
 
 
 @pytest.mark.parametrize("argv, position", [

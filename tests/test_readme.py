@@ -3,7 +3,8 @@
 The Library block is executed and each printed line compared with the
 `# ...` line the README gives for it.  Each `$ filtrate ...` line is run
 through `cli.main`; it must exit 0, and every complete `"key": value`
-fragment of the response shown under it must appear in the report.
+fragment of the response shown under it must appear in the report.  Each
+line of the Grammars block must appear in the `--help` text, `cli.GRAMMAR`.
 """
 
 import contextlib
@@ -56,6 +57,15 @@ def _fragments(response: str) -> list[str]:
             continue  # cut short by "..." in the README
         out.append(json.dumps({match.group(1): value})[1:-1])
     return out
+
+
+def test_grammar_block_is_the_help_text():
+    # the README says `filtrate --help` carries the same text
+    block = README.split("### Grammars", 1)[1].split("```", 2)[1]
+    lines = [line.strip() for line in block.splitlines() if line.strip()]
+    assert len(lines) > 4
+    for line in lines:
+        assert line in cli.GRAMMAR, line
 
 
 def test_library_block_prints_what_it_shows():

@@ -132,6 +132,32 @@ def test_product_and_commutator_limits_count_the_reduced_result(a, b):
                 build()
 
 
+@given(st.lists(st.tuples(st.integers(1, 3), st.sampled_from([-2, -1, 1, 2])), min_size=1,
+                max_size=8),
+       st.integers(min_value=0, max_value=8))
+def test_parsed_products_meet_the_limit_as_a_left_fold_does(terms, limit):
+    # the parser reduces each factor onto the product so far; the limit must
+    # still fire at the first prefix from two factors on that is over it
+    text = "*".join(f"x{i}^{k}" for i, k in terms)
+    factors = [GroupWord(3, (i,)) ** k for i, k in terms]
+
+    def fold():
+        product = factors[0]
+        for w in factors[1:]:
+            product = product * w
+        return product
+
+    outcomes = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(words_module, "MAX_RUNS", limit)
+        for build in (fold, lambda: parse_word(text, 3)):
+            try:
+                outcomes.append(build())
+            except ValueError as exc:
+                outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_words_keep_their_powers_as_a_program():
     g = parse_word("(x1*x2)^64", 2)
     # 6 squares and one product into what precedes the power
