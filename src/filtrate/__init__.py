@@ -22,7 +22,6 @@ from .emap import (
 )
 from .filt import (
     FiltrationSpec,
-    SampleBudget,
     member_kernels,
     member_series,
     phi,

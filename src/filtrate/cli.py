@@ -28,7 +28,7 @@ import sys
 from functools import cache
 
 from . import __version__
-from .coeff import parse_ring
+from .coeff import parse_ring, spec_int
 from .emap import (
     LimitError,
     SequenceGcdEMap,
@@ -41,7 +41,6 @@ from .emap import (
 )
 from .filt import (
     FiltrationSpec,
-    SampleBudget,
     kernel_witness,
     phi,
     product_sampler,
@@ -70,8 +69,8 @@ e-map spec grammar:
 scheme spec grammar (sample):
     "afilt:<a1>,<a2>,..." | "zass:<p>,<t>" | "product:<e-map spec>"
 
-Numbers in words and specs are written in the ASCII digits 0-9, after
-an optional "-" in an exponent or a spec.
+Numbers in words, specs and integer flags are written in the ASCII
+digits 0-9, after an optional "-" in an exponent, a spec or a flag.
 """
 
 
@@ -94,11 +93,11 @@ class _Parser(argparse.ArgumentParser):
         raise _parse_error(f"{self.prog}: {message}")
 
 
-def _at_least(low: int):
-    """A type= converter for an integer flag that must be >= low."""
+def _integer(low: int | None = None):
+    """A type= converter for an integer flag in ASCII digits (`spec_int`), >= low if given."""
     def convert(text: str) -> int:
-        value = int(text)
-        if value < low:
+        value = spec_int(text)
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
     convert.__name__ = "int"  # argparse names it in "invalid int value: ..."
@@ -198,7 +197,7 @@ def _cmd_rep(args) -> tuple[int, dict]:
 
 def _cmd_sample(args) -> tuple[int, dict]:
     sampler, table = _parse_scheme(args.scheme)
-    words = sampler(table, args.level, args.alphabet, SampleBudget(count=args.count), args.seed)
+    words = sampler(table, args.level, args.alphabet, args.count, args.seed)
     return 0, {
         "scheme": args.scheme,
         "level": args.level,
@@ -282,7 +281,7 @@ def _cmd_batch(args) -> tuple[int, dict]:
     return worst, {"jobs": reports}
 
 
-_POSITIVE_INT = {"type": _at_least(1), "required": True}
+_POSITIVE_INT = {"type": _integer(1), "required": True}
 _RING = {"type": _flag_type(parse_ring), "default": "Z"}
 _EMAP = {"type": _flag_type(parse_emap), "required": True}
 
@@ -312,8 +311,8 @@ COMMANDS = {
         "scheme": {"required": True},
         "level": _POSITIVE_INT,
         "alphabet": _POSITIVE_INT,
-        "seed": {"type": int, "default": 0},
-        "count": {"type": _at_least(0), "default": 30},
+        "seed": {"type": _integer(), "default": 0},
+        "count": {"type": _integer(0), "default": 30},
     }),
     "emap-check": ("audit an exponent table", _cmd_emap_check, {
         "emap": _EMAP,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from itertools import accumulate
-from math import comb, gcd
+from math import gcd
 from typing import NamedTuple
 
 from .coeff import ZZ, divisible, spec_int
@@ -159,13 +159,15 @@ class SequenceGcdEMap(EMap):
     there are none), an entry a sends g_j to gcd(g_j, a * g_{j-1}).  A row
     costs O(n^2) gcds, and a single entry costs its whole row.  Each product
     of j entries is a multiple of a product of j - 1 of them, so g_j is a
-    multiple of g_{j-1}: the rows descend.
+    multiple of g_{j-1}: the rows descend.  Entries must be ints, not bools.
     """
 
     descending_by_construction = True
 
     def __init__(self, seq):
-        seq = tuple(int(a) for a in seq)
+        seq = tuple(seq)
+        if bad := [a for a in seq if type(a) is not int]:
+            raise ValueError(f"sequence entries must be integers, got {bad[0]!r}")
         if any(a < 0 for a in seq):
             raise ValueError("sequence entries must be >= 0")
         self.seq = seq
@@ -315,9 +317,10 @@ def check_binomial(e: EMap, n_max: int) -> CheckResult:
         row = e.row(n)
         for i in range(1, n + 1):
             v = row[i - 1]
-            top = min(v, n // i)
-            for l in range(1, top + 1):
-                if not divisible(comb(v, l), row[i * l - 1]):
+            c = 1  # binom(v, l), from binom(v, l - 1) by an exact division
+            for l in range(1, min(v, n // i) + 1):
+                c = c * (v - l + 1) // l
+                if not divisible(c, row[i * l - 1]):
                     return CheckResult(False, (n, i, l))
     return CheckResult(True, None)
 

@@ -236,67 +236,61 @@ def member_kernels(g: GroupWord, spec: FiltrationSpec) -> bool:
 
 # the most factors in a sampled product; each sample draws its count from 1..FANOUT
 FANOUT = 2
+# the most letters, before reduction, in a random word at level 1 of a recursive sampler
+LEAF_LENGTH = 6
 
 
-@dataclass(frozen=True)
-class SampleBudget:
-    count: int = 30
-    max_factor_length: int = 6
-
-    def __post_init__(self):
-        if self.count < 0 or self.max_factor_length < 1:
-            raise ValueError("budget fields out of range")
-        # the samplers return one word per count: refused before any is drawn
-        check_cells("the sample count", "one word each", self.count)
+def _check_request(level: int, count: int) -> None:
+    """Refuse a sampler request before any table row is read or word drawn."""
+    if level < 1:
+        raise ValueError(f"level must be >= 1, got {level}")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    check_cells("the sample count", "one word each", count)
 
 
-def _sample_element(e, n, alphabet_size, budget, rng) -> GroupWord:
+def _sample_element(e, n, alphabet_size, rng) -> GroupWord:
     if n == 1:
-        return random_word(alphabet_size, budget.max_factor_length, rng)
+        return random_word(alphabet_size, LEAF_LENGTH, rng)
     out = GroupWord(alphabet_size)
     for _ in range(rng.randint(1, FANOUT)):
         f = e.power_exponent(n)
         # a zero power exponent generates only the trivial subgroup, so the
         # power option disappears and the factor must be a commutator
         if f > 0 and rng.random() < 0.5:
-            u = _sample_element(e, e.power_level(n), alphabet_size, budget, rng)
+            u = _sample_element(e, e.power_level(n), alphabet_size, rng)
             factor = u ** f
         else:
             s, t = rng.choice(e.splittings(n))
-            u = _sample_element(e, s, alphabet_size, budget, rng)
-            v = _sample_element(e, t, alphabet_size, budget, rng)
+            u = _sample_element(e, s, alphabet_size, rng)
+            v = _sample_element(e, t, alphabet_size, rng)
             factor = commutator(u, v)
         out = out * factor
     return out
 
 
 def sample_recursive(
-    e: EMap, level: int, alphabet_size: int,
-    budget: SampleBudget = SampleBudget(), seed: int = 0,
+    e: EMap, level: int, alphabet_size: int, count: int = 30, seed: int = 0,
 ) -> list[GroupWord]:
-    """Random elements of the level-n subgroup of the recursion that the
-    table e defines (a `SequenceGcdEMap` or a `ZassenhausEMap`), members of
-    its level-n term by construction.
+    """`count` random elements of the level-n subgroup of the recursion that
+    the table e defines (a `SequenceGcdEMap` or a `ZassenhausEMap`), members
+    of its level-n term by construction.
 
     Each sample is a product of at most FANOUT factors, every factor either
     an e.power_exponent(n)-th power from level e.power_level(n) or a
     commutator across one of e.splittings(n); recursion bottoms out at level
-    1 with short random words.  Deterministic for a fixed seed.
+    1 with random words of at most LEAF_LENGTH letters.  Deterministic for a
+    fixed seed.
     """
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
+    _check_request(level, count)
     rng = random.Random(seed)
-    return [
-        _sample_element(e, level, alphabet_size, budget, rng)
-        for _ in range(budget.count)
-    ]
+    return [_sample_element(e, level, alphabet_size, rng) for _ in range(count)]
 
 
 def product_sampler(
-    e: EMap, level: int, alphabet_size: int,
-    budget: SampleBudget = SampleBudget(), seed: int = 0,
+    e: EMap, level: int, alphabet_size: int, count: int = 30, seed: int = 0,
 ) -> list[GroupWord]:
-    """Random products of e(n, i)-th powers of realized basic commutators.
+    """`count` random products of e(n, i)-th powers of realized basic commutators.
 
     Each factor picks a weight i <= n with e(n, i) != 0 that has Lyndon
     words, realizes a random Lyndon bracketing of that weight, and raises it
@@ -312,8 +306,7 @@ def product_sampler(
     weight times necklace(k, weight) summed over the weights, raise
     ValueError before any is listed.
     """
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
+    _check_request(level, count)
     k = alphabet_size
     # on one letter only weight 1 can be drawn, so only e(n, 1) is read
     row = e.row(level) if k > 1 else (e.evaluate(level, 1),)
@@ -325,11 +318,11 @@ def product_sampler(
                 "weight * necklace(alphabet, weight), summed over the weights",
                 None if over else sum(i * necklace(k, i) for i in weights))
     if not weights:
-        return [GroupWord(k)] * budget.count
+        return [GroupWord(k)] * count
     rng = random.Random(seed)
     pools = {i: list(lyndon_words(k, i)) for i in weights}
     out = []
-    for _ in range(budget.count):
+    for _ in range(count):
         w = GroupWord(k)
         for _ in range(rng.randint(1, FANOUT)):
             i = rng.choice(weights)

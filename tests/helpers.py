@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 from filtrate.coeff import ZZ
 from filtrate.emap import ExplicitEMap, TrivialEMap
@@ -222,6 +222,21 @@ def divisor_witness_by_scan(s: TruncSeries, divisors):
         d = len(w)
         if 1 <= d <= len(divisors) and (c % divisors[d - 1] if divisors[d - 1] else c):
             return (d, w, c)
+    return None
+
+
+def binomial_by_comb(e, n_max: int):
+    """The first violation (n, i, l) of the binomial condition, or None:
+    binom(e(n, i), l) must be a multiple of e(n, i*l) for every l >= 1 with
+    l <= e(n, i) and i*l <= n, each binomial taken afresh from math.comb,
+    where only 0 is a multiple of 0."""
+    for n in range(1, n_max + 1):
+        for i in range(1, n + 1):
+            v = e.evaluate(n, i)
+            for l in range(1, min(v, n // i) + 1):
+                c, m = comb(v, l), e.evaluate(n, i * l)
+                if (c % m if m else c) != 0:
+                    return (n, i, l)
     return None
 
 

@@ -20,7 +20,6 @@ from filtrate.emap import (
 )
 from filtrate.filt import (
     FiltrationSpec,
-    SampleBudget,
     member_kernels,
     member_series,
     phi,
@@ -64,8 +63,8 @@ def test_acceptance_1_two_route_agreement(capsys):
         ConstantEMap(2),
         ZassenhausEMap(2, 1),
     ]
-    sample_budget = SampleBudget(count=10, max_factor_length=3)
-    recursive_budget = SampleBudget(count=9, max_factor_length=3)
+    sample_count = 10
+    recursive_count = 9
     checked = members = 0
     disagreements = []
     for emap in emaps:
@@ -73,9 +72,9 @@ def test_acceptance_1_two_route_agreement(capsys):
             for level in (2, 3, 4, 5):
                 spec = FiltrationSpec(emap, level)
                 words = [random_reduced_word(rng, k, 10) for _ in range(44)]
-                words += product_sampler(emap, level, k, sample_budget,
+                words += product_sampler(emap, level, k, sample_count,
                                          seed=rng.randint(0, 10**6))
-                words += sample_recursive(ZassenhausEMap(2, 1), level, k, recursive_budget,
+                words += sample_recursive(ZassenhausEMap(2, 1), level, k, recursive_count,
                                           seed=rng.randint(0, 10**6))
                 for g in words:
                     s = member_series(g, spec)
@@ -153,8 +152,8 @@ def test_acceptance_3_binomial_audits(capsys):
 def test_acceptance_4_recursive_sampler_containment(capsys):
     budget_s = 60.0
     start = time.perf_counter()
-    budget = SampleBudget(count=200, max_factor_length=3)
-    small = SampleBudget(count=30, max_factor_length=3)
+    count = 200
+    small = 30
     # each table samples from its own recursion
     emaps = [
         SequenceGcdEMap((2, 3, 4, 5)),
@@ -167,7 +166,7 @@ def test_acceptance_4_recursive_sampler_containment(capsys):
     for emap in emaps:
         for level in (2, 3, 4, 5):
             spec = FiltrationSpec(emap, level)
-            for g in sample_recursive(emap, level, 2, budget, seed=104 + level):
+            for g in sample_recursive(emap, level, 2, count, seed=104 + level):
                 if not member_series(g, spec):
                     failures.append((emap, level, g))
                 checked += 1
@@ -203,11 +202,7 @@ def test_acceptance_5_prime_power_cross_ring(capsys):
         for n in (2, 3, 4, 5):
             spec = FiltrationSpec(ZassenhausEMap(p, 1), n)
             pool = [random_reduced_word(rng, 2, 10) for _ in range(30)]
-            pool += sample_recursive(
-                ZassenhausEMap(p, 1), n, 2,
-                SampleBudget(count=10, max_factor_length=3),
-                seed=rng.randint(0, 10**6),
-            )
+            pool += sample_recursive(ZassenhausEMap(p, 1), n, 2, 10, seed=rng.randint(0, 10**6))
             one = TruncSeries.one(RingSpec(p), 2, n - 1)
             for g in pool:
                 flat = magnus(g, RingSpec(p), n - 1) == one
@@ -251,8 +246,7 @@ def test_acceptance_7_algebraic_invariants(capsys):
     rng = random.Random(108)
     failures = []
     spec = FiltrationSpec(ConstantEMap(2), 3)
-    pool = product_sampler(ConstantEMap(2), 3, 2,
-                           SampleBudget(count=30, max_factor_length=3), seed=109)
+    pool = product_sampler(ConstantEMap(2), 3, 2, 30, seed=109)
     closure = 0
     for _ in range(100):
         g, h = rng.choice(pool), rng.choice(pool)
@@ -274,8 +268,7 @@ def test_acceptance_7_algebraic_invariants(capsys):
         homs += 1
     corners = 0
     for n in (2, 3):
-        deep = product_sampler(TrivialEMap(), n, 2,
-                               SampleBudget(count=20, max_factor_length=3), seed=110 + n)
+        deep = product_sampler(TrivialEMap(), n, 2, 20, seed=110 + n)
         for _ in range(20):
             g, h = rng.choice(deep), rng.choice(deep)
             for w in enumerate_monomials(2, n):

@@ -319,6 +319,44 @@ def test_spec_integers_are_ascii_digits(capsys, argv, message):
     assert report["error"] == {"kind": "parse", "message": f"filtrate {argv[0]}: {message}"}
 
 
+_MEMBER = ["member", "--word", "x1", "--emap", "trivial"]
+
+
+@pytest.mark.parametrize("argv, flag, text", [
+    ([*_MEMBER, "--level", "\u0663", "--alphabet", "2"], "level", "\u0663"),
+    ([*_MEMBER, "--level", "1_0", "--alphabet", "2"], "level", "1_0"),
+    ([*_MEMBER, "--level", "+3", "--alphabet", "2"], "level", "+3"),
+    ([*_MEMBER, "--level", "3", "--alphabet", "\uff12"], "alphabet", "\uff12"),
+    (["sample", "--scheme", "zass:2,1", "--level", "2", "--alphabet", "2", "--seed", "\u0667"],
+     "seed", "\u0667"),
+])
+def test_integer_flags_are_ascii_digits(tmp_path, capsys, argv, flag, text):
+    # int() alone would read each of these as a number
+    message = f"filtrate {argv[0]}: argument --{flag}: invalid int value: {text!r}"
+    code, report, raw = run(capsys, argv)
+    assert code == 2 and raw.count("\n") == 1
+    assert report["error"] == {"kind": "parse", "message": message}
+    # a batch job's parameters are the same flags
+    jobs = tmp_path / "jobs.json"
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    jobs.write_text(json.dumps([{"command": argv[0], "parameters": {
+        key.removeprefix("--"): value for key, value in flags.items()}}]))
+    code, report, _ = run(capsys, ["batch", "--jobs", str(jobs)])
+    (job,) = report["jobs"]
+    assert code == 2 and job["exit"] == 2
+    assert job["report"]["error"] == {"kind": "parse", "message": message}
+
+
+def test_integer_flags_keep_a_sign_and_whitespace(capsys):
+    code, report, _ = run(capsys, [*_MEMBER, "--level", " 3 ", "--alphabet", "2"])
+    assert code == 0 and report["level"] == 3
+    code, report, _ = run(capsys, ["sample", "--scheme", "zass:2,1", "--level", "2",
+                                   "--alphabet", "2", "--seed=-7", "--count", "1"])
+    assert code == 0 and report["seed"] == -7
+    code, report, _ = run(capsys, [*_MEMBER, "--level", "-3", "--alphabet", "2"])
+    assert code == 2 and report["error"]["message"].endswith("--level: must be >= 1, got -3")
+
+
 def test_spec_integers_keep_a_sign_and_whitespace(capsys):
     magnus = ["magnus", "--word", "x1", "--cap", "1", "--alphabet", "1", "--ring"]
     code, report, _ = run(capsys, [*magnus, "Z/ 5"])

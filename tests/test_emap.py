@@ -31,6 +31,7 @@ from filtrate.emap import (
 from filtrate.magnus import TruncSeries
 
 from helpers import (
+    binomial_by_comb,
     condition_iii_by_factoring,
     decompose_in_ideal,
     divisor_witness_by_scan,
@@ -69,6 +70,15 @@ def test_sequence_gcd_values():
     assert zeros.evaluate(3, 1) == 0
     assert zeros.evaluate(3, 2) == 2
     assert SequenceGcdEMap(()).row(1) == (1,)
+
+
+@pytest.mark.parametrize("seq, bad", [
+    ([2.7, 3], "2.7"), ([2, "3"], "'3'"), ([True, 2], "True"), ([2.0], "2.0"),
+])
+def test_sequence_entries_are_ints(seq, bad):
+    # as in ExplicitEMap, an entry is checked, not cast: 2.7 was read as 2
+    with pytest.raises(ValueError, match=rf"^sequence entries must be integers, got {bad}$"):
+        SequenceGcdEMap(seq)
 
 
 def test_sequence_gcd_matches_the_subset_definition():
@@ -210,6 +220,32 @@ def test_check_binomial_violation():
     assert check_descending(bad, 4).ok
     result = check_binomial(bad, 4)
     assert not result.ok and result.violation == (4, 1, 2)
+
+
+def test_check_binomial_matches_math_comb():
+    # the audit builds binom(v, l) from binom(v, l - 1); an oracle that takes
+    # each binomial afresh from math.comb must agree
+    rng = random.Random(62)
+    verdicts = []
+    for _ in range(400):
+        n_max = rng.randint(2, 9)
+        e = random_descending_table(rng, n_max)
+        expected = binomial_by_comb(e, n_max)
+        assert check_binomial(e, n_max) == (expected is None, expected), e.table
+        verdicts.append(expected is None)
+    assert 50 < verdicts.count(False) < 350
+    for e in (TrivialEMap(), ConstantEMap(2), ConstantEMap(6),
+              SequenceGcdEMap((3, 3, 2, 2, 2, 2, 5, 9, 4, 7, 2)),
+              ZassenhausEMap(2, 1), ZassenhausEMap(3, 2)):
+        expected = binomial_by_comb(e, 12)
+        assert check_binomial(e, 12) == (expected is None, expected), e
+
+
+def test_check_binomial_builds_each_binomial_from_the_last():
+    # a math.comb call per l took about 11 s here
+    start = time.perf_counter()
+    assert check_binomial(ConstantEMap(2), 250).ok
+    assert time.perf_counter() - start < 5
 
 
 def test_check_condition_iii():

@@ -18,10 +18,9 @@ from filtrate.emap import (
     check_condition_iii,
     parse_emap,
 )
-from filtrate import filt
+from filtrate import coeff, filt
 from filtrate.filt import (
     FiltrationSpec,
-    SampleBudget,
     kernel_witness,
     member_kernels,
     member_series,
@@ -196,9 +195,9 @@ def test_kernel_witness_content():
 def _member_pool(rng, k, level):
     """Random words plus constructed members, shuffled."""
     pool = [random_reduced_word(rng, k, 10) for _ in range(44)]
-    budget = SampleBudget(count=10, max_factor_length=3)
-    pool += product_sampler(ConstantEMap(2), level, k, budget, seed=rng.randint(0, 10**6))
-    pool += sample_recursive(ZassenhausEMap(2, 1), level, k, budget, seed=rng.randint(0, 10**6))
+    count = 10
+    pool += product_sampler(ConstantEMap(2), level, k, count, seed=rng.randint(0, 10**6))
+    pool += sample_recursive(ZassenhausEMap(2, 1), level, k, count, seed=rng.randint(0, 10**6))
     rng.shuffle(pool)
     return pool
 
@@ -226,53 +225,65 @@ def test_route_agreement_fuzz():
     assert agree >= 500 and members >= 40
 
 
-def test_sampler_determinism_and_budget():
-    budget = SampleBudget(count=8)
-    a = sample_recursive(ZassenhausEMap(2, 1), 3, 2, budget, seed=9)
-    b = sample_recursive(ZassenhausEMap(2, 1), 3, 2, budget, seed=9)
+def test_sampler_determinism_and_budget(monkeypatch):
+    a = sample_recursive(ZassenhausEMap(2, 1), 3, 2, 8, seed=9)
+    b = sample_recursive(ZassenhausEMap(2, 1), 3, 2, 8, seed=9)
     assert a == b
-    c = product_sampler(ConstantEMap(2), 3, 2, budget, seed=9)
-    d = product_sampler(ConstantEMap(2), 3, 2, budget, seed=9)
+    c = product_sampler(ConstantEMap(2), 3, 2, 8, seed=9)
+    d = product_sampler(ConstantEMap(2), 3, 2, 8, seed=9)
     assert c == d
-    assert sample_recursive(SequenceGcdEMap((2, 2)), 3, 2, SampleBudget(count=0), seed=1) == []
-    assert product_sampler(TrivialEMap(), 3, 2, SampleBudget(count=0), seed=1) == []
-    with pytest.raises(ValueError):
-        SampleBudget(count=-1)
-    # one word per count: a count is refused before any word is drawn
-    assert SampleBudget(count=MAX_CELLS).count == MAX_CELLS
-    with pytest.raises(ValueError, match=rf"^the sample count needs {MAX_CELLS + 1} cells"):
-        SampleBudget(count=MAX_CELLS + 1)
+    assert sample_recursive(SequenceGcdEMap((2, 2)), 3, 2, 0, seed=1) == []
+    assert product_sampler(TrivialEMap(), 3, 2, 0, seed=1) == []
+    samplers = ((sample_recursive, ZassenhausEMap(2, 1)), (product_sampler, TrivialEMap()))
+    # one word per count: a count is refused before any word is drawn, and
+    # before the product sampler sizes its Lyndon pools (level 30 has more
+    # than MAX_CELLS letters of them)
+    for sampler, table in samplers:
+        with pytest.raises(ValueError, match=r"^level must be >= 1, got 0$"):
+            sampler(table, 0, 2, -1)
+        with pytest.raises(ValueError, match=r"^count must be >= 0, got -1$"):
+            sampler(table, 3, 2, -1)
+        for level in (3, 30):
+            with pytest.raises(ValueError,
+                               match=rf"^the sample count needs {MAX_CELLS + 1} cells"):
+                sampler(table, level, 2, MAX_CELLS + 1)
+    # a count of exactly the limit is drawn, under a limit small enough to draw
+    monkeypatch.setattr(coeff, "MAX_CELLS", 4)
+    for sampler, table in samplers:
+        assert len(sampler(table, 1, 2, 4)) == 4
+        with pytest.raises(ValueError, match=r"^the sample count needs 5 cells"):
+            sampler(table, 1, 2, 5)
 
 
-def _assert_own_members(e, rng, budget):
+def _assert_own_members(e, rng, count):
     """Samples of the recursion of table e lie in its own terms at levels
     2..6, on both routes."""
     for level in range(2, 7):
         spec = FiltrationSpec(e, level)
-        for g in sample_recursive(e, level, 2, budget, seed=rng.randint(0, 10**6)):
+        for g in sample_recursive(e, level, 2, count, seed=rng.randint(0, 10**6)):
             assert series_witness(g, spec) is None, (e, level, g)
             assert kernel_witness(g, spec) is None, (e, level, g)
 
 
 def test_recursive_samples_are_members_afilt():
     rng = random.Random(56)
-    budget = SampleBudget(count=12, max_factor_length=4)
+    count = 12
     for A in ((2, 3, 4, 5, 6), (0, 0, 0, 0, 0), (2, 2, 2, 2, 2), (0, 2, 0, 3, 4), (3, 0, 6, 0, 2)):
-        _assert_own_members(SequenceGcdEMap(A), rng, budget)
+        _assert_own_members(SequenceGcdEMap(A), rng, count)
 
 
 def test_recursive_samples_are_members_zassenhaus():
     rng = random.Random(57)
-    budget = SampleBudget(count=12, max_factor_length=4)
+    count = 12
     for p, t in ((2, 1), (3, 1), (2, 2), (3, 2)):
-        _assert_own_members(ZassenhausEMap(p, t), rng, budget)
+        _assert_own_members(ZassenhausEMap(p, t), rng, count)
 
 
 def test_zero_sequence_recursion_is_lower_central():
     # all power exponents 0: the recursion degenerates to iterated commutators
-    budget = SampleBudget(count=15, max_factor_length=4)
+    count = 15
     spec = FiltrationSpec(TrivialEMap(), 3)
-    for g in sample_recursive(SequenceGcdEMap((0, 0)), 3, 2, budget, seed=58):
+    for g in sample_recursive(SequenceGcdEMap((0, 0)), 3, 2, count, seed=58):
         assert member_series(g, spec), g
 
 
@@ -281,18 +292,18 @@ def test_permuted_prefix_samples_stay_members():
     A = (2, 3, 4, 5)
     level = 5
     spec = FiltrationSpec(SequenceGcdEMap(A), level)
-    budget = SampleBudget(count=6, max_factor_length=3)
+    count = 6
     for seed, perm in enumerate(permutations(A)):
         if seed % 4:
             continue  # six permutations are plenty
-        for g in sample_recursive(SequenceGcdEMap(perm), level, 2, budget, seed=59 + seed):
+        for g in sample_recursive(SequenceGcdEMap(perm), level, 2, count, seed=59 + seed):
             assert member_series(g, spec), (perm, g)
 
 
 def test_zassenhaus_chain_is_decreasing():
-    budget = SampleBudget(count=10, max_factor_length=4)
+    count = 10
     for level in (3, 4, 5):
-        samples = sample_recursive(ZassenhausEMap(2, 1), level, 2, budget, seed=60 + level)
+        samples = sample_recursive(ZassenhausEMap(2, 1), level, 2, count, seed=60 + level)
         lower = FiltrationSpec(ZassenhausEMap(2, 1), level - 1)
         for g in samples:
             assert member_series(g, lower), (level, g)
@@ -307,10 +318,7 @@ def test_cross_ring_prime_power_characterization():
         for n in (2, 3, 4, 5):
             spec = FiltrationSpec(ZassenhausEMap(p, 1), n)
             pool = [random_reduced_word(rng, 2, 10) for _ in range(30)]
-            pool += sample_recursive(
-                ZassenhausEMap(p, 1), n, 2,
-                SampleBudget(count=8, max_factor_length=3), seed=rng.randint(0, 10**6),
-            )
+            pool += sample_recursive(ZassenhausEMap(p, 1), n, 2, 8, seed=rng.randint(0, 10**6))
             ring = RingSpec(p)
             one = TruncSeries.one(ring, 2, n - 1)
             for g in pool:
@@ -332,20 +340,20 @@ def test_product_sampler_containment():
         SequenceGcdEMap((2, 3, 4)),
         ZassenhausEMap(2, 1),
     ]
-    budget = SampleBudget(count=10, max_factor_length=4)
+    count = 10
     for emap in emaps:
         assert check_binomial(emap, 4).ok and check_condition_iii(emap, 4).ok
         for level in (2, 3, 4):
             spec = FiltrationSpec(emap, level)
-            for g in product_sampler(emap, level, 2, budget, seed=rng.randint(0, 10**6)):
+            for g in product_sampler(emap, level, 2, count, seed=rng.randint(0, 10**6)):
                 assert member_series(g, spec), (emap.describe(), level, g)
 
 
 def test_members_are_closed_under_the_group_operations():
     rng = random.Random(63)
     spec = FiltrationSpec(ConstantEMap(2), 3)
-    budget = SampleBudget(count=40, max_factor_length=3)
-    pool = product_sampler(ConstantEMap(2), 3, 2, budget, seed=64)
+    count = 40
+    pool = product_sampler(ConstantEMap(2), 3, 2, count, seed=64)
     checked = 0
     for _ in range(100):
         g, h = rng.choice(pool), rng.choice(pool)
@@ -359,10 +367,10 @@ def test_members_are_closed_under_the_group_operations():
 
 def test_commutator_of_members_lands_deeper():
     # [level s, level t] sits inside level s + t for the lower central chain
-    budget = SampleBudget(count=12, max_factor_length=3)
+    count = 12
     for s, t in ((1, 1), (1, 2), (2, 2)):
-        us = product_sampler(TrivialEMap(), s, 2, budget, seed=65 + s)
-        vs = product_sampler(TrivialEMap(), t, 2, budget, seed=66 + t)
+        us = product_sampler(TrivialEMap(), s, 2, count, seed=65 + s)
+        vs = product_sampler(TrivialEMap(), t, 2, count, seed=66 + t)
         spec = FiltrationSpec(TrivialEMap(), s + t)
         for u, v in zip(us, vs):
             assert member_series(commutator(u, v), spec), (s, t, u, v)
@@ -372,9 +380,7 @@ def test_corner_entry_is_additive_on_members():
     rng = random.Random(67)
     checked = 0
     for n in (2, 3):
-        pool = product_sampler(
-            TrivialEMap(), n, 2, SampleBudget(count=20, max_factor_length=3), seed=68 + n
-        )
+        pool = product_sampler(TrivialEMap(), n, 2, 20, seed=68 + n)
         for _ in range(20):
             g, h = rng.choice(pool), rng.choice(pool)
             for w in enumerate_monomials(2, n):
@@ -388,10 +394,10 @@ def test_corner_entry_is_additive_on_members():
 def test_members_act_trivially_off_the_corner():
     # at depth n every length-n monomial image is the identity away from the
     # top-right entry, which is the only place degree-n information survives
-    budget = SampleBudget(count=15, max_factor_length=3)
+    count = 15
     for n in (2, 3):
         identity = unimatrix_identity(n + 1, ZZ)
-        for g in product_sampler(TrivialEMap(), n, 2, budget, seed=69 + n):
+        for g in product_sampler(TrivialEMap(), n, 2, count, seed=69 + n):
             for w in enumerate_monomials(2, n):
                 assert equal_ignoring_corner(phi(w, g, ZZ), identity), (n, w, g)
 
@@ -421,8 +427,8 @@ def _witness_pool(rng, e, level, k):
     pool += [commutator(random_reduced_word(rng, k, 4), random_reduced_word(rng, k, 4))
              for _ in range(4)]
     pool += [random_reduced_word(rng, k, 4) ** min(e.evaluate(level, 1), 200) for _ in range(3)]
-    budget = SampleBudget(count=4, max_factor_length=3)
-    built = product_sampler(e, level, k, budget, seed=rng.randint(0, 10**6))
+    count = 4
+    built = product_sampler(e, level, k, count, seed=rng.randint(0, 10**6))
     return pool + built + [GroupWord(k, (1,)) * g for g in built]
 
 
@@ -446,8 +452,8 @@ def test_routes_match_the_full_expansion_oracle():
         k = 2 if level > 4 else rng.choice((2, 3))
         pool = _witness_pool(rng, e, level, k)
         if e is gcdseq:
-            budget = SampleBudget(count=3, max_factor_length=2)
-            pool += sample_recursive(gcdseq, level, k, budget, seed=level)
+            count = 3
+            pool += sample_recursive(gcdseq, level, k, count, seed=level)
         for g in pool:
             series, kernel = membership_witnesses(g, e, level)
             assert series_witness(g, spec) == series, (g, e, level)
@@ -547,7 +553,7 @@ def test_product_samples_of_unaudited_tables_need_not_be_members():
     unaudited = ExplicitEMap({1: (1,), 2: (2, 1), 3: (2, 2, 1)})
     assert not check_binomial(unaudited, 3).ok and not check_condition_iii(unaudited, 3).ok
     spec = FiltrationSpec(unaudited, 3)
-    samples = product_sampler(unaudited, 3, 2, SampleBudget(count=20), seed=1)
+    samples = product_sampler(unaudited, 3, 2, 20, seed=1)
     assert not all(member_series(g, spec) for g in samples)
 
 
@@ -658,8 +664,8 @@ def test_expansions_stop_at_the_degrees_that_can_decide(monkeypatch):
     e = SequenceGcdEMap((3, 3, 2, 2, 2, 2))
     assert e.row(7) == (144, 24, 4, 2, 1, 1, 1)
     spec = FiltrationSpec(e, 7)
-    budget = SampleBudget(count=2, max_factor_length=2)
-    for g in [parse_word("x1^144", 2)] + sample_recursive(e, 7, 2, budget, seed=3):
+    count = 2
+    for g in [parse_word("x1^144", 2)] + sample_recursive(e, 7, 2, count, seed=3):
         calls.clear()
         tables.clear()
         assert series_witness(g, spec) is None

@@ -7,7 +7,7 @@ import filtrate.massey as massey
 from filtrate import filt
 from filtrate.coeff import ZZ, integer_rank
 from filtrate.emap import TrivialEMap
-from filtrate.filt import FiltrationSpec, SampleBudget, member_series, product_sampler
+from filtrate.filt import FiltrationSpec, member_series, product_sampler
 from filtrate.magnus import coefficient, magnus
 from filtrate.massey import PairingMatrix, massey_rank, necklace, pairing_matrix, pairing_rank
 from filtrate.words import enumerate_monomials, lyndon_words, parse_word, realize, basic_commutator
@@ -64,9 +64,9 @@ def test_pairing_value_preconditions():
 
 def test_pairing_value_additive_on_products():
     rng = random.Random(71)
-    budget = SampleBudget(count=25, max_factor_length=3)
+    count = 25
     for n in (2, 3):
-        pool = product_sampler(TrivialEMap(), n, 2, budget, seed=72 + n)
+        pool = product_sampler(TrivialEMap(), n, 2, count, seed=72 + n)
         monomials = list(enumerate_monomials(2, n))
         for _ in range(50):
             g, h = rng.choice(pool), rng.choice(pool)
@@ -191,10 +191,7 @@ def test_oversampling_members_does_not_raise_rank():
     for m, n in ((2, 3), (2, 4), (3, 3)):
         pm = pairing_matrix(m, n)
         rows = [list(r) for r in pm.entries]
-        pool = product_sampler(
-            TrivialEMap(), n, m, SampleBudget(count=2 * len(rows), max_factor_length=3),
-            seed=75 + m + n,
-        )
+        pool = product_sampler(TrivialEMap(), n, m, 2 * len(rows), seed=75 + m + n)
         monomials = list(enumerate_monomials(m, n))
         for g in pool:
             s = magnus(g, ZZ, n)

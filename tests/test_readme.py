@@ -5,15 +5,20 @@ The Library block is executed and each printed line compared with the
 through `cli.main`; it must exit 0, and every complete `"key": value`
 fragment of the response shown under it must appear in the report.  Each
 line of the Grammars block must appear in the `--help` text, `cli.GRAMMAR`.
+Every name the prose gives in backticks, `module.CONSTANT` or a CamelCase
+class, must exist in the package.
 """
 
+import builtins
 import contextlib
+import importlib
 import io
 import json
 import re
 import shlex
 from pathlib import Path
 
+import filtrate
 import filtrate.cli as cli
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -89,3 +94,18 @@ def test_command_line_examples_report_what_they_show(capsys):
         assert fragments, command
         for fragment in fragments:
             assert fragment in out, (command, fragment)
+
+
+def test_named_constants_and_classes_exist():
+    spans = re.findall(r"`([^`\n]+)`", README)
+    constants = {m.groups() for span in spans
+                 if (m := re.fullmatch(r"([a-z]+)\.([A-Z][A-Z0-9_]*)", span))}
+    classes = {m.group(1) for span in spans
+               if (m := re.match(r"([A-Z]\w*[a-z]\w*)(?:$|[.(])", span))
+               and any(c.isupper() for c in m.group(1)[1:])}
+    assert {("coeff", "MAX_CELLS"), ("filt", "FANOUT"), ("filt", "LEAF_LENGTH")} <= constants
+    assert {"GroupWord", "FiltrationSpec", "ValueError"} <= classes
+    for module, name in sorted(constants):
+        assert hasattr(importlib.import_module(f"filtrate.{module}"), name), f"{module}.{name}"
+    for name in sorted(classes - set(dir(builtins))):
+        assert hasattr(filtrate, name), name
