@@ -7,18 +7,60 @@ with residues kept in canonical form 0 <= r < m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+
+class Record:
+    """An immutable value with named fields, as a frozen dataclass is, without
+    importing dataclasses: a record equals another of its own class with
+    equal fields, hashes and prints by them, and copies and pickles every
+    slot as it is.
+
+    A subclass names its fields in `_fields`, in constructor order, and its
+    `__init__` stores them, and any other slot, with object.__setattr__.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # restored slot by slot, as a dataclass restores its __dict__, so a
+        # copy is neither checked nor computed again
+        return object.__new__, (type(self),), {name: getattr(self, name) for name in self.__slots__}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(Record):
     """Z when modulus == 0, otherwise Z/<modulus>."""
 
-    modulus: int = 0
+    __slots__ = _fields = ("modulus",)
 
-    def __post_init__(self):
-        if self.modulus < 0:
-            raise ValueError(f"modulus must be non-negative, got {self.modulus}")
+    def __init__(self, modulus: int = 0):
+        if modulus < 0:
+            raise ValueError(f"modulus must be non-negative, got {modulus}")
+        object.__setattr__(self, "modulus", modulus)
 
     def __str__(self) -> str:
         return "Z" if self.modulus == 0 else f"Z/{self.modulus}"

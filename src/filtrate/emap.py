@@ -9,10 +9,8 @@ part is divisible by e(n, i) for i < n; degrees >= n are unconstrained.
 
 from __future__ import annotations
 
-import json
 from itertools import accumulate
 from math import gcd
-from typing import NamedTuple
 
 from .coeff import ZZ, divisible, spec_int
 from .magnus import TruncSeries
@@ -22,9 +20,23 @@ from .magnus import TruncSeries
 MAX_ENTRY_BITS = 10**5
 
 
-class CheckResult(NamedTuple):
-    ok: bool
-    violation: tuple | None
+class CheckResult(tuple):
+    """The verdict of an audit and its first violation, None when it passes:
+    the pair (ok, violation), named as a NamedTuple names its fields."""
+
+    __slots__ = ()
+
+    def __new__(cls, ok: bool, violation: tuple | None):
+        return tuple.__new__(cls, (ok, violation))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    ok = property(lambda self: self[0], doc="Whether the audit passed.")
+    violation = property(lambda self: self[1], doc="The first violation, or None.")
+
+    def __repr__(self) -> str:
+        return f"CheckResult(ok={self.ok!r}, violation={self.violation!r})"
 
 
 def _prime_factors(v: int, bound: int | None = None) -> dict[int, int]:
@@ -466,6 +478,8 @@ def parse_emap(text: str) -> EMap:
     except ValueError as exc:
         raise ValueError(f"bad e-map spec {text!r}: {exc}") from exc
     if kind == "file":
+        import json  # only a file: table reads JSON; the CLI has it loaded already
+
         try:
             with open(body, encoding="utf-8") as fh:
                 rows = json.load(fh)

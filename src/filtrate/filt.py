@@ -31,11 +31,10 @@ The two must agree on every input; a disagreement is a bug, never noise.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import product
 from math import comb, lcm
 
-from .coeff import MAX_CELLS, RingSpec, ZZ, check_cells
+from .coeff import MAX_CELLS, Record, RingSpec, ZZ, check_cells
 from .emap import EMap, check_descending, divisor_witness, ideal_divisors
 from .magnus import magnus
 from .massey import necklace
@@ -57,39 +56,42 @@ def phi(w: Monomial, g: GroupWord, ring: RingSpec) -> list[list[int]]:
     Entry (i, j) with i <= j is the Magnus coefficient of g at the subword
     wi...w_{j-1}; on the diagonal that subword is empty, so the entry is 1
     in the ring (0 over Z/1).  The entries below the diagonal are 0.  The
-    map is a homomorphism into the unitriangular group over the ring.
+    map is a homomorphism into the unitriangular group over the ring.  A
+    matrix of more than MAX_CELLS cells is refused before any is made.
     """
     w = tuple(w)
     if not w:
         raise ValueError("w must be a nonempty monomial")
     size = len(w) + 1
+    check_cells(f"the unipotent image at monomial length {size - 1}", "(length + 1)^2", size * size)
     parts = magnus(g, ring, size - 1).parts
     return [[parts[j - i].get(w[i:j], 0) if i <= j else 0 for j in range(size)]
             for i in range(size)]
 
 
-@dataclass(frozen=True)
-class FiltrationSpec:
+class FiltrationSpec(Record):
     """An exponent table and a level: one term of a filtration.  Building it
     keeps row `level` as `row`, which is all either route reads of the
     table.  Rows 1..level of a table that is not descending by construction
-    (a `file:` table) are checked to descend first."""
+    (a `file:` table) are checked to descend first.  Equality, hashing and
+    printing read the table, as an object, and the level, not the row."""
 
-    emap: EMap
-    level: int
-    row: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("emap", "level", "row")
+    _fields = ("emap", "level")
 
-    def __post_init__(self):
-        if self.level < 1:
-            raise ValueError(f"level must be >= 1, got {self.level}")
-        if not self.emap.descending_by_construction:
-            result = check_descending(self.emap, self.level)
+    def __init__(self, emap: EMap, level: int):
+        if level < 1:
+            raise ValueError(f"level must be >= 1, got {level}")
+        if not emap.descending_by_construction:
+            result = check_descending(emap, level)
             if not result.ok:
                 raise ValueError(
-                    f"exponent table is not descending up to level {self.level}: "
+                    f"exponent table is not descending up to level {level}: "
                     f"first violation at {result.violation}"
                 )
-        object.__setattr__(self, "row", self.emap.row(self.level))
+        object.__setattr__(self, "emap", emap)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "row", emap.row(level))
 
 
 def series_witness(g: GroupWord, spec: FiltrationSpec):

@@ -18,11 +18,10 @@ colors.  `pairing_rank` checks exactly this, and eliminates when it fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import prod
 
-from .coeff import MAX_CELLS, check_cells, integer_rank
+from .coeff import MAX_CELLS, Record, check_cells, integer_rank
 from .emap import _prime_factors
 from .words import (
     BasicCommutator,
@@ -48,16 +47,19 @@ def necklace(m: int, n: int) -> int:
     return total // n
 
 
-@dataclass(frozen=True)
-class PairingMatrix:
+class PairingMatrix(Record):
     """Rows: realized Lyndon bracketings of weight n.  Columns: all length-n
     monomials.  Entries: degree-n Magnus coefficients."""
 
-    level: int
-    alphabet_size: int
-    row_labels: tuple[GroupWord, ...]
-    column_labels: tuple[Monomial, ...]
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("level", "alphabet_size", "row_labels", "column_labels", "entries")
+
+    def __init__(self, level: int, alphabet_size: int, row_labels: tuple[GroupWord, ...],
+                 column_labels: tuple[Monomial, ...], entries: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "alphabet_size", alphabet_size)
+        object.__setattr__(self, "row_labels", row_labels)
+        object.__setattr__(self, "column_labels", column_labels)
+        object.__setattr__(self, "entries", entries)
 
 
 def _column(w: Monomial, k: int) -> int:

@@ -10,9 +10,9 @@ run.  The commutator convention throughout is
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from itertools import chain, product, repeat
+
+from .coeff import Record
 
 Monomial = tuple[int, ...]
 
@@ -404,8 +404,9 @@ def parse_word(text: str, alphabet_size: int) -> GroupWord:
             product = outer
 
 
-def random_word(alphabet_size: int, max_length: int, rng: random.Random) -> GroupWord:
-    """A uniformly drawn letter string of length <= max_length, then reduced."""
+def random_word(alphabet_size: int, max_length: int, rng) -> GroupWord:
+    """A letter string of length <= max_length drawn uniformly with rng, a
+    random.Random, then reduced."""
     length = rng.randint(0, max_length)
     letters = []
     for _ in range(length):
@@ -476,22 +477,21 @@ def lyndon_words(alphabet_size: int, weight: int):
             w.pop()
 
 
-@dataclass(frozen=True)
-class BasicCommutator:
+class BasicCommutator(Record):
     """A bracket tree whose leaves are generator indices.
 
     Either generator is set (leaf) or left and right are set (bracket node).
     """
 
-    gen: int | None = None
-    left: "BasicCommutator | None" = None
-    right: "BasicCommutator | None" = None
+    __slots__ = _fields = ("gen", "left", "right")
 
-    def __post_init__(self):
-        leaf = self.gen is not None
-        node = self.left is not None and self.right is not None
-        if leaf == node:
+    def __init__(self, gen: int | None = None, left: BasicCommutator | None = None,
+                 right: BasicCommutator | None = None):
+        if (gen is not None) == (left is not None and right is not None):
             raise ValueError("need exactly one of: generator, (left, right)")
+        object.__setattr__(self, "gen", gen)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     @property
     def is_leaf(self) -> bool:

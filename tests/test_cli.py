@@ -801,6 +801,20 @@ def test_magnus_cap_over_the_cell_limit_exits_three(cap):
     assert elapsed < 1
 
 
+def test_rep_matrix_over_the_cell_limit_exits_three():
+    # 3163^2 cells are counted before the word is expanded or a row is made
+    proc, elapsed = run_child(["rep", "--word", "x1", "--monomial", "x1" * 3162, "--alphabet", "1"],
+                              address_space=1 << 30)
+    assert proc.returncode == 3 and proc.stderr == ""
+    assert proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout)["error"] == {
+        "kind": "precondition",
+        "message": "the unipotent image at monomial length 3162 needs 10004569 cells"
+                   f" ((length + 1)^2), over the limit of {MAX_CELLS}",
+    }
+    assert elapsed < 1
+
+
 def test_a_wrong_power_node_product_makes_the_routes_disagree(monkeypatch, capsys):
     # (x1*x2^-1)^64 keeps its power, so the series route multiplies series
     # by repeated squaring; a product that adds one x1 each time reaches

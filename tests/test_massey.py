@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -144,8 +143,12 @@ def test_lie_rows_match_magnus_rows():
             n += 1
 
 
+def _with_entries(pm, entries):
+    return PairingMatrix(pm.level, pm.alphabet_size, pm.row_labels, pm.column_labels, entries)
+
+
 def _with_row(pm, i, row):
-    return dataclasses.replace(pm, entries=pm.entries[:i] + (tuple(row),) + pm.entries[i + 1:])
+    return _with_entries(pm, pm.entries[:i] + (tuple(row),) + pm.entries[i + 1:])
 
 
 def test_rank_falls_back_to_elimination_without_the_certificate(monkeypatch):
@@ -172,7 +175,7 @@ def test_rank_falls_back_to_elimination_without_the_certificate(monkeypatch):
             _with_row(pm, i, doubled),
             _with_row(pm, i, earlier),
             _with_row(pm, i, pm.entries[i - 1]),
-            dataclasses.replace(pm, entries=pm.entries + pm.entries[:1]),
+            _with_entries(pm, pm.entries + pm.entries[:1]),
         ]
         for mutant in mutants:
             calls.clear()
