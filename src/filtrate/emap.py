@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import gcd
 
-from .coeff import ZZ, divisible, spec_int
+from .coeff import ZZ, check_cells, divisible, spec_int
 from .magnus import TruncSeries
 
 # the most bits a computed power entry (zass, const) may have; an entry is
@@ -121,6 +121,9 @@ class EMap:
         raise NotImplementedError
 
     def row(self, n: int) -> tuple[int, ...]:
+        """(e(n, 1), ..., e(n, n)); more than MAX_CELLS entries are refused
+        before any is computed."""
+        check_cells(f"row {n} of the exponent table", "one per entry e(n, 1..n)", n)
         return tuple(self.evaluate(n, i) for i in range(1, n + 1))
 
     def describe(self) -> str:

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import random
 from itertools import product
-from math import comb, lcm
+from math import comb, gcd, lcm
 
-from .coeff import MAX_CELLS, Record, RingSpec, ZZ, check_cells
+from .coeff import MAX_CELLS, Record, RingSpec, ZZ, check_cells, divisible
 from .emap import EMap, check_descending, divisor_witness, ideal_divisors
 from .magnus import magnus
 from .massey import necklace
@@ -185,8 +185,11 @@ def kernel_witness(g: GroupWord, spec: FiltrationSpec):
     Entry (a, b) of w's matrix is the top-right entry of the image attached
     to w[a..b-1], and every word of length <= d is a subword of some word
     of length d, so degree d passes exactly when the rows of lengths 1..d
-    are all 0 mod e(n, d).  That is read from the rows alone, whatever the
-    other degrees' moduli.  Only a degree that fails is scanned: its words
+    are all 0 mod e(n, d), that is, when e(n, d) divides the gcd of their
+    entries (0 divides only 0).  The gcd is carried from one degree to the
+    next, so each row is read once, and only up to the degree being
+    decided; it needs nothing of the other degrees' moduli, which need not
+    divide one another.  Only a degree that fails is scanned: its words
     in lexicographic order, each entry read in place and reduced mod
     e(n, d), up to the first nonzero entry, the least (a, b) of the first
     non-identity image.  The route never expands g as a series.
@@ -212,8 +215,12 @@ def kernel_witness(g: GroupWord, spec: FiltrationSpec):
                 f"alphabet^1 + ... + alphabet^{top}",
                 None if over else sum(k ** m for m in range(1, top + 1)))
     rows = _top_rows(g, lcm(*moduli.values()), top)
+    common = read = 0  # the gcd of every entry in the rows of lengths 1..read
     for d, m in moduli.items():
-        if not any(v % m if m else v for row in rows[1:d + 1] for v in row):
+        for row in rows[read + 1:d + 1]:
+            common = gcd(common, *row)
+        read = d
+        if divisible(common, m):
             continue
         for w in product(range(k), repeat=d):
             # entry (a, b) is the top-right entry of the image attached to

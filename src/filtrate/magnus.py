@@ -10,7 +10,7 @@ of a word that keeps its powers by repeated squaring of u's expansion.
 
 from __future__ import annotations
 
-from .coeff import RingSpec, check_cells
+from .coeff import Record, RingSpec, check_cells
 from .words import GroupWord, Monomial, _inverse, format_monomial
 
 
@@ -25,16 +25,18 @@ def _canonical(coeffs: dict, modulus: int) -> dict:
     return {w: c for w, c in coeffs.items() if c}
 
 
-class TruncSeries:
+class TruncSeries(Record):
     """Sparse truncated series, kept by degree: parts[d] maps the monomials
     of length d to their nonzero ring elements, for 0 <= d <= cap.
 
     Instances are canonical (coefficients reduced into the ring, zeros never
-    stored) and treated as immutable.  Binary operations require matching
-    ring, alphabet and cap.
+    stored) and values (see `coeff.Record`): immutable, copyable and
+    picklable, but not hashable, since parts holds dicts.  Binary operations
+    require matching ring, alphabet and cap.
     """
 
-    __slots__ = ("ring", "alphabet_size", "cap", "parts")
+    __slots__ = _fields = ("ring", "alphabet_size", "cap", "parts")
+    __hash__ = None
 
     def __init__(self, ring: RingSpec, alphabet_size: int, cap: int, coeffs=None):
         if alphabet_size < 1:
@@ -65,9 +67,6 @@ class TruncSeries:
         object.__setattr__(self, "cap", cap)
         object.__setattr__(self, "parts", parts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncSeries is immutable")
-
     @property
     def coeffs(self) -> dict:
         """Every term in one new dict, a flat view of parts."""
@@ -84,15 +83,6 @@ class TruncSeries:
             or self.cap != other.cap
         ):
             raise ValueError("mismatched ring, alphabet or cap")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncSeries)
-            and self.ring == other.ring
-            and self.alphabet_size == other.alphabet_size
-            and self.cap == other.cap
-            and self.parts == other.parts
-        )
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         self._require_compatible(other)

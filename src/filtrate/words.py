@@ -32,13 +32,14 @@ class WordSyntaxError(ValueError):
         self.position = position
 
 
-class GroupWord:
+class GroupWord(Record):
     """A freely reduced word over x1..xk, stored as (letter, exponent) runs.
 
     The run (i, k) stands for xi^k with k != 0, and neighbouring runs have
     different letters.  Construction from signed letters (+i for xi, -i for
     its inverse) reduces eagerly, so equal group elements compare equal as
-    objects.  Instances are immutable and hashable.
+    objects.  A word is a value (see `coeff.Record`): immutable, hashable,
+    copyable and picklable.
 
     A word built with powers may also keep a program for `magnus`: a tuple
     of runs (i, k) and power nodes (body, q), where body is a program and
@@ -47,10 +48,12 @@ class GroupWord:
     program spells out, each body once per node, and products the series
     products its powers take by repeated squaring.  A word keeps it only
     while it may be cheaper to expand than the runs (see `program_at`).
-    Equality, hashing and printing read the runs alone.
+    Equality and hashing read the alphabet and the runs alone, and a copy
+    keeps the program.
     """
 
     __slots__ = ("alphabet_size", "runs", "_program")
+    _fields = ("alphabet_size", "runs")
 
     def __init__(self, alphabet_size: int, letters=()):
         if alphabet_size < 1:
@@ -101,9 +104,6 @@ class GroupWord:
                 return program
         return self.runs
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupWord is immutable")
-
     def __len__(self) -> int:
         """The number of letters, counted without flattening the runs."""
         return sum(abs(k) for _, k in self.runs)
@@ -114,16 +114,6 @@ class GroupWord:
         return tuple(chain.from_iterable(
             repeat(i if k > 0 else -i, abs(k)) for i, k in self.runs
         ))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupWord)
-            and self.alphabet_size == other.alphabet_size
-            and self.runs == other.runs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet_size, self.runs))
 
     def __repr__(self) -> str:
         return f"<GroupWord {format_word(self)} over x1..x{self.alphabet_size}>"
@@ -487,7 +477,7 @@ class BasicCommutator(Record):
 
     def __init__(self, gen: int | None = None, left: BasicCommutator | None = None,
                  right: BasicCommutator | None = None):
-        if (gen is not None) == (left is not None and right is not None):
+        if not (gen is None) == (left is not None) == (right is not None):
             raise ValueError("need exactly one of: generator, (left, right)")
         object.__setattr__(self, "gen", gen)
         object.__setattr__(self, "left", left)

@@ -713,12 +713,32 @@ def test_kernel_rows_over_the_cell_limit_exit_three():
 
 
 def test_kernel_route_member_at_a_long_level():
-    # a passing degree is read from the rows, not from every word's matrix
-    proc, elapsed = run_child(["member", "--word", "e", "--emap", "trivial", "--level", "1000",
+    # a passing degree is read from the rows, not from every word's matrix,
+    # and each row once, not once for every degree above it
+    proc, elapsed = run_child(["member", "--word", "e", "--emap", "trivial", "--level", "20000",
                                "--alphabet", "1", "--route", "kernels"])
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads(proc.stdout)["member"] is True
     assert elapsed < 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["member", "--word", "x1", "--emap", "trivial", "--level", "30000000", "--alphabet", "1"],
+    ["member", "--word", "x1", "--emap", "zass:2,1", "--level", "100000000", "--alphabet", "1"],
+    ["sample", "--scheme", "product:trivial", "--level", "100000000", "--alphabet", "2"],
+], ids=["member-trivial", "member-zass", "sample-product"])
+def test_table_rows_over_the_cell_limit_exit_three(argv):
+    # the entries of row `level` are counted before any is computed
+    level = argv[argv.index("--level") + 1]
+    proc, elapsed = run_child(argv, address_space=1 << 30)
+    assert proc.returncode == 3 and proc.stderr == ""
+    assert proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout)["error"] == {
+        "kind": "precondition",
+        "message": f"row {level} of the exponent table needs {level} cells"
+                   f" (one per entry e(n, 1..n)), over the limit of {MAX_CELLS}",
+    }
+    assert elapsed < 1
 
 
 def test_kernel_route_over_a_huge_alphabet():

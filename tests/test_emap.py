@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from filtrate.coeff import RingSpec, ZZ, divisible
+from filtrate.coeff import MAX_CELLS, RingSpec, ZZ, divisible
 from filtrate.emap import (
     MAX_ENTRY_BITS,
     PRIME_LIMIT,
@@ -568,3 +568,15 @@ def test_parse_emap_file(tmp_path):
 def test_describe_round_trips():
     for spec in ("trivial", "const:4", "gcdseq:2,3,4", "zass:2,3"):
         assert parse_emap(spec).describe() == spec
+
+
+def test_rows_over_the_cell_limit_are_refused_before_they_are_built():
+    n = MAX_CELLS + 1
+    message = (rf"^row {n} of the exponent table needs {n} cells \(one per entry e\(n, 1..n\)\),"
+               rf" over the limit of {MAX_CELLS}$")
+    for e in (TrivialEMap(), ConstantEMap(2), ZassenhausEMap(2, 1)):
+        with pytest.raises(ValueError, match=message):
+            e.row(n)
+        # a single entry is not a row, and is not refused
+        assert e.evaluate(n, n) == 1
+    assert TrivialEMap().row(3) == (0, 0, 1)

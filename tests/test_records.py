@@ -1,9 +1,11 @@
 """Value semantics of the record classes: RingSpec, FiltrationSpec,
-PairingMatrix, BasicCommutator and CheckResult.
+PairingMatrix, BasicCommutator, GroupWord, TruncSeries and CheckResult.
 
 Each is immutable, compares equal to a record of its own class with equal
-fields (CheckResult, a pair, also to the plain tuple), hashes and prints by
-those fields, and checks its fields on construction.
+fields (CheckResult, a pair, also to the plain tuple), hashes by those
+fields (a TruncSeries, which holds dicts, is unhashable), copies, deep
+copies and pickles to an equal value, and checks its fields on
+construction.  All but CheckResult derive from `coeff.Record`.
 """
 
 import copy
@@ -12,11 +14,12 @@ import pickle
 
 import pytest
 
-from filtrate.coeff import RingSpec, ZZ
+from filtrate.coeff import Record, RingSpec, ZZ
 from filtrate.emap import CheckResult, ExplicitEMap, TrivialEMap, check_descending, parse_emap
 from filtrate.filt import FiltrationSpec
+from filtrate.magnus import TruncSeries, magnus
 from filtrate.massey import PairingMatrix, pairing_matrix
-from filtrate.words import BasicCommutator, basic_commutator
+from filtrate.words import BasicCommutator, GroupWord, basic_commutator, parse_word
 
 
 def assert_immutable(record, name):
@@ -26,6 +29,11 @@ def assert_immutable(record, name):
         delattr(record, name)
     with pytest.raises(AttributeError):
         record.undeclared = 1
+
+
+def copies(value):
+    """A shallow copy, a deep copy and a pickle round trip of value."""
+    return copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
 
 
 def test_ring_spec_values():
@@ -81,7 +89,9 @@ def test_pairing_matrix_values():
                         f"column_labels={pm.column_labels!r}, entries={pm.entries!r})")
     for name in ("level", "alphabet_size", "row_labels", "column_labels", "entries"):
         assert_immutable(pm, name)
-    assert copy.copy(pm) == pm
+    # the row labels are words, which copy and pickle as values too
+    for twin in copies(pm):
+        assert twin == pm and twin.row_labels == pm.row_labels and hash(twin) == hash(pm)
 
 
 def test_basic_commutator_values():
@@ -101,11 +111,52 @@ def test_basic_commutator_values():
     for name in ("gen", "left", "right"):
         assert_immutable(node, name)
     message = r"^need exactly one of: generator, \(left, right\)$"
-    for kwargs in ({}, {"gen": 1, "left": leaf, "right": leaf}, {"left": leaf}):
+    for kwargs in ({}, {"gen": 1, "left": leaf, "right": leaf}, {"left": leaf},
+                   {"gen": 1, "left": leaf}, {"gen": 1, "right": leaf}):
         with pytest.raises(ValueError, match=message):
             BasicCommutator(**kwargs)
     tree = basic_commutator((1, 1, 2, 1, 2))
     assert copy.copy(tree) == copy.deepcopy(tree) == pickle.loads(pickle.dumps(tree)) == tree
+
+
+def test_group_word_values():
+    g = parse_word("(x1*x2^-1)^1000", 2)
+    flat = GroupWord(2, g.letters)
+    # the power is kept as a program, which equality and hashing do not read
+    assert g._program is not None and flat._program is None
+    assert g == flat and flat == g and hash(g) == hash(flat) == hash((2, g.runs))
+    assert g != GroupWord(3, g.letters) and g != g.inverse() and g != flat * flat
+    assert g != g.runs and g != g.letters and GroupWord(1) != () and GroupWord(1) != 0
+    assert len({g, flat, GroupWord(3, g.letters), GroupWord(2)}) == 3
+    assert repr(parse_word("x1^2*x2^-1", 2)) == "<GroupWord x1^2*x2^-1 over x1..x2>"
+    assert repr(GroupWord(1)) == "<GroupWord e over x1..x1>"
+    for name in ("alphabet_size", "runs", "_program"):
+        assert_immutable(g, name)
+    assert isinstance(g, Record)
+    for twin in copies(g):
+        assert twin == g and hash(twin) == hash(g) and twin._program == g._program
+        assert twin.program_at(3) == g.program != g.runs
+        assert magnus(twin, ZZ, 3) == magnus(g, ZZ, 3)
+    for twin in copies(flat):
+        assert twin == flat and twin._program is None and twin.program_at(3) == flat.runs
+
+
+def test_trunc_series_values():
+    s = magnus(parse_word("x1*x2^-1", 2), ZZ, 3)
+    same = TruncSeries(ZZ, 2, 3, s.coeffs)
+    assert s == same and same == s and s.parts == same.parts
+    assert s != TruncSeries(RingSpec(7), 2, 3, s.coeffs) and s != TruncSeries(ZZ, 3, 3, s.coeffs)
+    assert s != TruncSeries(ZZ, 2, 4, s.coeffs) and s != TruncSeries.one(ZZ, 2, 3)
+    assert s != s.coeffs and s != s.parts and TruncSeries(ZZ, 1, 1) != 0
+    with pytest.raises(TypeError, match=r"^unhashable type: 'TruncSeries'$"):
+        hash(s)
+    assert repr(TruncSeries(ZZ, 1, 2, {(): 1, (1,): -1})) == "<TruncSeries 1*e + -1*x1 over Z, cap 2>"
+    for name in ("ring", "alphabet_size", "cap", "parts"):
+        assert_immutable(s, name)
+    assert isinstance(s, Record)
+    for twin in copies(s):
+        assert twin == s and twin.sorted_terms() == s.sorted_terms()
+        assert twin * s == s * s
 
 
 def test_check_result_values():
