@@ -245,6 +245,7 @@ def test_parse_errors_carry_position():
     (parse_word, "x1^\u00b2", 3),
     (parse_word, "x\u00b2", 1),
     (parse_word, "x\u0663", 1),
+    (parse_word, "x1^\u0663", 3),
     (parse_word, "x1^-\u0663", 3),
     (parse_monomial, "x1\u00b2", 2),
     (parse_monomial, "x\u0663", 1),
@@ -260,6 +261,31 @@ def test_integers_are_ascii_digits_that_int_reads(parse, text, position):
     with pytest.raises(WordSyntaxError) as info:
         parse(text, 3)
     assert info.value.position == position
+
+
+def test_whitespace_separates_tokens_and_never_splits_one():
+    assert parse_word(" x1 ^ -2 * [ x1 , x2 ] ", 2) == parse_word("x1^-3*x2^-1*x1*x2", 2)
+    for text, message, position in (
+        ("x1 2", "unexpected character", 3),
+        ("x 1", "expected a generator index after 'x'", 1),
+        ("x1^- 2", "expected an integer", 3),
+    ):
+        with pytest.raises(WordSyntaxError) as info:
+            parse_word(text, 2)
+        assert str(info.value) == f"{message} (at position {position})", text
+        assert info.value.position == position
+
+
+@pytest.mark.parametrize("text, position", [
+    ("x" + "1" * 4301, 1),
+    ("x1^" + "9" * 4301, 3),
+    ("x1^ -" + "9" * 4301, 5),
+])
+def test_an_integer_one_digit_too_long_fails_at_its_first_digit(text, position):
+    # int() converts at most 4300 digits by default
+    with pytest.raises(WordSyntaxError) as info:
+        parse_word(text, 3)
+    assert str(info.value) == f"integer of 4301 digits too long to read (at position {position})"
 
 
 def test_deep_nesting_is_a_syntax_error():
@@ -327,7 +353,9 @@ def expressions(draw, depth=3):
        st.integers(0, 10**6), st.sampled_from("x13e[](),*^- \ty"))
 def test_parse_matches_the_grammar_and_fails_in_range(expression, edit, at, char):
     text, value = expression
-    assert parse_word(text, 3) == value
+    w = parse_word(text, 3)
+    assert w == value
+    assert GroupWord(3, program_letters(w.program)) == w
     at %= len(text) + 1
     if edit == "delete":
         text = text[:at] + text[at + 1:]
