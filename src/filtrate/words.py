@@ -68,31 +68,19 @@ class GroupWord(Record):
         object.__setattr__(self, "_program", None)
 
     @classmethod
-    def _from_runs(cls, alphabet_size: int, runs: tuple, pieces=()) -> "GroupWord":
-        """Wrap runs that are already valid and freely reduced.
-
-        pieces are (program, plain, products, sign) whose product, a program
-        inverted when its sign is negative, is the word.  Their programs, one
-        after another, become the word's program when some piece has a power
-        node and the program can be cheaper than the runs at some cap: the
-        estimate in `program_at` is at least plain + 2 * products.  Callers
-        pass pieces only when one of them has a power node.
-        """
+    def _from_runs(cls, alphabet_size: int, runs: tuple, kept=None) -> "GroupWord":
+        """Wrap runs that are already valid and freely reduced, with the
+        (program, plain, products) they keep, or None (see `_program`)."""
         w = object.__new__(cls)
         object.__setattr__(w, "alphabet_size", alphabet_size)
         object.__setattr__(w, "runs", runs)
-        object.__setattr__(w, "_program", _program(runs, pieces) if pieces else None)
+        object.__setattr__(w, "_program", kept)
         return w
 
     @property
     def program(self) -> tuple:
         """The program `magnus` may walk; the runs when the word keeps none."""
         return self.runs if self._program is None else self._program[0]
-
-    def _piece(self, sign: int = 1) -> tuple:
-        if self._program is None:
-            return self.runs, len(self.runs), 0, sign
-        return (*self._program, sign)
 
     def program_at(self, cap: int) -> tuple:
         """What `magnus` walks at this cap: the program when its estimated
@@ -124,36 +112,43 @@ class GroupWord(Record):
                 f"alphabet mismatch: {self.alphabet_size} vs {other.alphabet_size}"
             )
 
+    @property
+    def _value(self) -> tuple:
+        return self.runs, self._program
+
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         self._require_same_alphabet(other)
-        product = [self], []
-        _times(product, other)
-        return _product(product)
+        product = [self._value], []
+        _times(product, other._value)
+        return GroupWord._from_runs(self.alphabet_size, *_product(product))
 
     def inverse(self) -> "GroupWord":
-        pieces = (self._piece(-1),) if self._program else ()
-        return GroupWord._from_runs(self.alphabet_size, _inverse(self.runs), pieces)
+        return self ** -1
 
     def __pow__(self, k: int) -> "GroupWord":
-        if len(self.runs) == 1:
-            # (x^e)^k is the one run x^(ek), which no program undercuts
-            (i, e), = self.runs
-            return GroupWord._from_runs(self.alphabet_size, ((i, e * k),) if k else ())
-        n = abs(k)
-        runs = _power(self.runs if k >= 0 else _inverse(self.runs), n)
-        if n < 2:
-            pieces = (self._piece(k),) if k and self._program else ()
-        else:
-            # repeated squaring: bit_length - 1 squares of the body's
-            # expansion and bit_count products into the expansion so far
-            body, plain, products, _ = self._piece()
-            pieces = ((((body, k),), plain, products + n.bit_length() - 1 + n.bit_count(), 1),)
-        return GroupWord._from_runs(self.alphabet_size, runs, pieces)
+        return GroupWord._from_runs(self.alphabet_size, *_powered(self._value, k))
+
+
+# The word algebra works on values: a value is a pair (runs, kept) of reduced
+# runs and the (program, plain, products) kept for them, or None (see
+# GroupWord).  GroupWord's operators and `commutator` wrap these functions,
+# and `parse_word` wraps only the value of the whole expression.
+
+def _piece(value: tuple, sign: int = 1) -> tuple:
+    """(program, plain, products, sign) of a value; its runs, spelled once,
+    when it keeps no program."""
+    runs, kept = value
+    if kept is None:
+        return runs, len(runs), 0, sign
+    return (*kept, sign)
 
 
 def _program(runs: tuple, pieces) -> tuple | None:
-    """(program, plain, products) of the pieces joined, or None when no piece
-    has a power node or the program is never cheaper than the runs."""
+    """What a value with these runs keeps: (program, plain, products) of the
+    pieces (see `_piece`) joined, their programs one after another, a
+    program inverted when its sign is negative.  None when no piece has a
+    power node or the program can be cheaper than the runs at no cap: the
+    estimate in `program_at` is at least plain + 2 * products."""
     plain = products = 0
     for _, p, q, _ in pieces:
         plain += p
@@ -195,27 +190,48 @@ def _join(left: tuple, right: tuple) -> tuple:
     return tuple(out)
 
 
-def _times(product: tuple[list, list], w: GroupWord) -> None:
-    """Multiply the open product (factors, runs) by w in place: factors are
-    the words so far, over w's alphabet, and runs, from the second factor
-    on, the runs of their product, checked against the limit."""
+def _times(product: tuple[list, list], value: tuple) -> None:
+    """Multiply the open product (factors, runs) by a value in place: factors
+    are the values so far, and runs, from the second factor on, the runs of
+    their product, checked against the limit."""
     factors, runs = product
     if factors:
         if len(factors) == 1:
-            runs.extend(factors[0].runs)
-        _push(runs, w.runs)
+            runs.extend(factors[0][0])
+        _push(runs, value[0])
         _check_runs("product", len(runs))
-    factors.append(w)
+    factors.append(value)
 
 
-def _product(product: tuple[list, list]) -> GroupWord:
-    """The word of an open product (see `_times`): a single factor as it is.
-    The factors' pieces are kept only when some factor has a program."""
+def _product(product: tuple[list, list]) -> tuple:
+    """The value of an open product (see `_times`): a single factor as it is.
+    The factors' pieces are kept only when some factor keeps a program."""
     factors, runs = product
     if len(factors) == 1:
         return factors[0]
-    pieces = tuple(w._piece() for w in factors) if any(w._program for w in factors) else ()
-    return GroupWord._from_runs(factors[0].alphabet_size, tuple(runs), pieces)
+    runs = tuple(runs)
+    if any(kept for _, kept in factors):
+        return runs, _program(runs, [_piece(value) for value in factors])
+    return runs, None
+
+
+def _powered(value: tuple, k: int) -> tuple:
+    """A value raised to k: (x^e)^k is the one run x^(ek), which no program
+    undercuts; otherwise the runs by repeated squaring and, for |k| >= 2,
+    the power node (body, k) over the value's program."""
+    runs, kept = value
+    if len(runs) == 1:
+        (i, e), = runs
+        return ((i, e * k),) if k else (), None
+    n = abs(k)
+    runs = _power(runs if k >= 0 else _inverse(runs), n)
+    if n < 2:
+        return runs, _program(runs, (_piece(value, k),)) if k and kept else None
+    # repeated squaring: bit_length - 1 squares of the body's expansion
+    # and bit_count products into the expansion so far
+    body, plain, products, _ = _piece(value)
+    products += n.bit_length() - 1 + n.bit_count()
+    return runs, _program(runs, ((((body, k),), plain, products, 1),))
 
 
 def _power_run_count(runs: tuple, k: int) -> int:
@@ -248,14 +264,14 @@ def _power(runs: tuple, k: int) -> tuple:
     return result
 
 
-def commutator(a: GroupWord, b: GroupWord) -> GroupWord:
-    """[a, b] = a^-1 b^-1 a b, refused before it is built past MAX_RUNS.
+def _commutator(a: tuple, b: tuple) -> tuple:
+    """[a, b] = a^-1 b^-1 a b of two values, refused before it is built past
+    MAX_RUNS.
 
     [a, b] = (ba)^-1 ab, and joining (ba)^-1 to ab cancels only the runs
     that ba and ab share at their heads, so the count needs no inverse.
     """
-    a._require_same_alphabet(b)
-    ab, ba = _join(a.runs, b.runs), _join(b.runs, a.runs)
+    ab, ba = _join(a[0], b[0]), _join(b[0], a[0])
     common = min(len(ab), len(ba))
     shared = 0
     while shared < common and ab[shared] == ba[shared]:
@@ -263,9 +279,16 @@ def commutator(a: GroupWord, b: GroupWord) -> GroupWord:
     # the first runs that differ merge into one when their letters agree
     merged = shared < common and ab[shared][0] == ba[shared][0]
     _check_runs("commutator", len(ab) + len(ba) - 2 * shared - merged)
-    pieces = ((a._piece(-1), b._piece(-1), a._piece(), b._piece())
-              if a._program or b._program else ())
-    return GroupWord._from_runs(a.alphabet_size, _join(_inverse(ba[shared:]), ab[shared:]), pieces)
+    runs = _join(_inverse(ba[shared:]), ab[shared:])
+    if a[1] is None and b[1] is None:
+        return runs, None
+    return runs, _program(runs, (_piece(a, -1), _piece(b, -1), _piece(a), _piece(b)))
+
+
+def commutator(a: GroupWord, b: GroupWord) -> GroupWord:
+    """[a, b] = a^-1 b^-1 a b (see `_commutator`)."""
+    a._require_same_alphabet(b)
+    return GroupWord._from_runs(a.alphabet_size, *_commutator(a._value, b._value))
 
 
 def format_word(w: GroupWord) -> str:
@@ -317,80 +340,104 @@ def parse_word(text: str, alphabet_size: int) -> GroupWord:
         atom      := generator | "e" | "[" word "," word "]" | "(" word ")"
         generator := "x" positive-int
 
-    Whitespace is insignificant.  "e" is the empty word and "[a,b]" is the
-    commutator a^-1 b^-1 a b.  One pass reads the text, keeping the open
-    brackets on a list, so the depth it accepts does not depend on the
-    caller's stack.  Each factor is reduced onto the product so far as it
-    is read, so a product of n factors is built once.  Raises
-    WordSyntaxError with the offending position on malformed input, on
-    out-of-range generator indices, on a number in anything but ASCII
-    digits or too long for int(), and at a bracket nested more than
+    Whitespace may stand between tokens but not inside one: "x1 2",
+    "x 1" and "x1^- 2" are refused.  "e" is the empty word and "[a,b]" is
+    the commutator a^-1 b^-1 a b.  One pass reads the text, dispatching
+    once per token and keeping the open brackets on a list, so the depth it
+    accepts does not depend on the caller's stack.  Atoms, powers, products
+    and commutators are values (runs, kept), built by the same functions as
+    GroupWord's operators; each factor is reduced onto the product so far
+    as it is read, so a product of n factors is built once, and only the
+    whole word becomes a GroupWord.  Raises ValueError when alphabet_size
+    < 1, and WordSyntaxError with the offending position on malformed
+    input, on out-of-range generator indices, on a number in anything but
+    ASCII digits or too long for int(), and at a bracket nested more than
     MAX_NESTING deep; a power, product or commutator of more than MAX_RUNS
     runs raises ValueError as soon as it is read.
     """
+    if alphabet_size < 1:
+        raise ValueError(f"alphabet size must be >= 1, got {alphabet_size}")
     end = len(text)
-
-    def skip(pos: int, chars) -> int:
-        while pos < end and chars(text[pos]):
-            pos += 1
-        return pos
-
     # open brackets, innermost last: [bracket, product read before it, left
-    # word of a commutator once its ',' is read]
+    # value of a commutator once its ',' is read]
     stack = []
     product = [], []  # the open product read so far inside the innermost bracket
     pos = 0
     while True:
-        pos = skip(pos, str.isspace)
         ch = text[pos:pos + 1]
-        if ch in ("(", "["):
+        while ch.isspace():
+            pos += 1
+            ch = text[pos:pos + 1]
+        if ch == "x":
+            start = pos = pos + 1
+            while pos < end and text[pos] in "0123456789":
+                pos += 1
+            try:
+                index = int(text[start:pos])
+            except ValueError:  # no digit, or more than int() reads
+                index = 0
+            if not 0 < index <= alphabet_size:
+                _read_generator(text, start - 1, alphabet_size)  # raises the error
+            atom = ((index, 1),), None
+        elif ch == "e":
+            pos += 1
+            atom = (), None
+        elif ch == "(" or ch == "[":
             if len(stack) == MAX_NESTING:
                 raise WordSyntaxError("brackets nested too deeply", pos)
             stack.append([ch, product, None])
             product = [], []
             pos += 1
             continue
-        if ch == "x":
-            # _read_generator checked the index against the alphabet
-            index, pos = _read_generator(text, pos, alphabet_size)
-            atom = GroupWord._from_runs(alphabet_size, ((index, 1),))
-        elif ch == "e":
-            pos += 1
-            atom = GroupWord(alphabet_size)
         else:
             raise WordSyntaxError("expected a generator, 'e', '[' or '('", pos)
         # each pass ends a term; a term that ends its word closes a bracket,
         # whose value is the next atom
         while True:
-            pos = skip(pos, str.isspace)
-            if text.startswith("^", pos):
-                exponent, pos = _read_int(
-                    text, skip(pos + 1, str.isspace), "expected an integer", signed=True
-                )
-                atom = atom ** exponent
-                pos = skip(pos, str.isspace)
+            ch = text[pos:pos + 1]
+            while ch.isspace():
+                pos += 1
+                ch = text[pos:pos + 1]
+            if ch == "^":
+                start = pos + 1
+                ch = text[start:start + 1]
+                while ch.isspace():
+                    start += 1
+                    ch = text[start:start + 1]
+                pos = start + (ch == "-")
+                while pos < end and text[pos] in "0123456789":
+                    pos += 1
+                try:
+                    exponent = int(text[start:pos])
+                except ValueError:  # no digit, or more than int() reads
+                    exponent, pos = _read_int(text, start, "expected an integer", signed=True)
+                atom = _powered(atom, exponent)
+                ch = text[pos:pos + 1]
+                while ch.isspace():
+                    pos += 1
+                    ch = text[pos:pos + 1]
             _times(product, atom)
-            if text.startswith("*", pos):
+            if ch == "*":
                 pos += 1
                 break
             if not stack:
                 if pos != end:
                     raise WordSyntaxError("unexpected character", pos)
-                return _product(product)
+                return GroupWord._from_runs(alphabet_size, *_product(product))
             bracket, outer, left = stack[-1]
             if bracket == "[" and left is None:
-                if not text.startswith(",", pos):
+                if ch != ",":
                     raise WordSyntaxError("expected ',' in commutator", pos)
                 stack[-1][2] = _product(product)
                 product = [], []
                 pos += 1
                 break
             closer = ")" if bracket == "(" else "]"
-            if not text.startswith(closer, pos):
+            if ch != closer:
                 raise WordSyntaxError(f"expected '{closer}'", pos)
             pos += 1
             stack.pop()
-            atom = _product(product) if bracket == "(" else commutator(left, _product(product))
+            atom = _product(product) if bracket == "(" else _commutator(left, _product(product))
             product = outer
 
 
