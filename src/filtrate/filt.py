@@ -180,7 +180,8 @@ def kernel_witness(g: GroupWord, spec: FiltrationSpec):
     if it passes does one pass over the runs build the top rows of every
     word up to the last degree top < n with e(n, d) != 1 (`_top_rows`), over
     Z/L with L the lcm of those e(n, d) with d >= 2 (Z if one is 0); rows of
-    more than MAX_CELLS entries in all raise ValueError before any is built.
+    more than MAX_CELLS cells in all, a cell per entry and one per row, raise
+    ValueError before any is built.
 
     Entry (a, b) of w's matrix is the top-right entry of the image attached
     to w[a..b-1], and every word of length <= d is a subword of some word
@@ -204,16 +205,18 @@ def kernel_witness(g: GroupWord, spec: FiltrationSpec):
         for i in sorted(sums):
             if s := sums[i] % first if first else sums[i]:
                 return (1, (i,), s)
-    moduli = {d: m for d, m in enumerate(spec.row[1:n - 1], 2) if m != 1}
-    if not moduli:
+    row = spec.row
+    top = next((d for d in range(n - 1, 1, -1) if row[d - 1] != 1), 0)
+    if not top:
         return None
-    top = max(moduli)
-    # the rows hold k**m entries for each length m <= top; past these sizes
-    # the longest row alone is over the limit, so the sum is not computed
+    # the rows hold k**m entries for each length m <= top, and each row is a
+    # cell besides its entries; past these sizes the longest row alone is
+    # over the limit, so the count is not computed
     over = k > MAX_CELLS or k > 1 and top > MAX_CELLS.bit_length()
     check_cells(f"the kernel route at alphabet {k}, degree {top}",
-                f"alphabet^1 + ... + alphabet^{top}",
-                None if over else sum(k ** m for m in range(1, top + 1)))
+                f"alphabet^1 + ... + alphabet^{top} + {top}",
+                None if over else (top if k == 1 else (k ** (top + 1) - k) // (k - 1)) + top)
+    moduli = {d: m for d, m in enumerate(row[1:top], 2) if m != 1}
     rows = _top_rows(g, lcm(*moduli.values()), top)
     common = read = 0  # the gcd of every entry in the rows of lengths 1..read
     for d, m in moduli.items():

@@ -706,10 +706,29 @@ def test_kernel_rows_over_the_cell_limit_exit_three():
     error = json.loads(proc.stdout)["error"]
     assert error == {
         "kind": "precondition",
-        "message": "the kernel route at alphabet 10, degree 7 needs 11111110 cells"
-                   f" (alphabet^1 + ... + alphabet^7), over the limit of {MAX_CELLS}",
+        "message": "the kernel route at alphabet 10, degree 7 needs 11111117 cells"
+                   f" (alphabet^1 + ... + alphabet^7 + 7), over the limit of {MAX_CELLS}",
     }
     assert elapsed < 0.5
+
+
+def test_one_letter_kernel_rows_count_a_cell_per_row():
+    # level 10^7 has a row of 10^7 entries, inside the limit, and degrees
+    # 2..10^7 - 1 to decide: one row each of one entry, besides the list
+    # that holds it, so twice the limit's worth of cells less two
+    level = 10**7
+    proc, elapsed = run_child(["member", "--word", "e", "--emap", "trivial", "--level",
+                               str(level), "--alphabet", "1", "--route", "kernels"],
+                              address_space=1 << 30)
+    assert proc.returncode == 3 and proc.stderr == ""
+    assert proc.stdout.count("\n") == 1
+    top = level - 1
+    assert json.loads(proc.stdout)["error"] == {
+        "kind": "precondition",
+        "message": f"the kernel route at alphabet 1, degree {top} needs {2 * top} cells"
+                   f" (alphabet^1 + ... + alphabet^{top} + {top}), over the limit of {MAX_CELLS}",
+    }
+    assert elapsed < 1
 
 
 def test_kernel_route_member_at_a_long_level():
@@ -754,7 +773,7 @@ def test_kernel_route_over_a_huge_alphabet():
     assert error == {
         "kind": "precondition",
         "message": f"the kernel route at alphabet {alphabet}, degree 2 needs more than"
-                   f" {MAX_CELLS} cells (alphabet^1 + ... + alphabet^2), over the limit of {MAX_CELLS}",
+                   f" {MAX_CELLS} cells (alphabet^1 + ... + alphabet^2 + 2), over the limit of {MAX_CELLS}",
     }
     proc, _ = run_child(argv + ["--word", "x1"])
     assert proc.returncode == 0 and proc.stderr == ""

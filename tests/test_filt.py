@@ -409,12 +409,12 @@ def test_kernel_rows_are_bounded_before_they_are_built(monkeypatch):
     spec = FiltrationSpec(TrivialEMap(), 8)
     # degree 1 is read from the exponent sums before the bound applies
     assert kernel_witness(parse_word("x1", 10), spec) == (1, (1,), 1)
-    with pytest.raises(ValueError, match=f"needs 11111110 cells .*limit of {MAX_CELLS}$"):
+    with pytest.raises(ValueError, match=f"needs 11111117 cells .*limit of {MAX_CELLS}$"):
         kernel_witness(parse_word("[x1,x2]", 10), spec)
     assert caps == []
     with pytest.raises(ValueError, match=f"degree 39 needs more than {MAX_CELLS} cells"):
         kernel_witness(parse_word("[x1,x2]", 2), FiltrationSpec(TrivialEMap(), 40))
-    # one level lower the rows hold 1111110 cells and are built
+    # one level lower the rows hold 1111116 cells and are built
     spec = FiltrationSpec(TrivialEMap(), 7)
     assert kernel_witness(parse_word("[x1,x2]", 10), spec) == (2, (1, 2), 1)
     assert caps == [6]

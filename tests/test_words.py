@@ -288,6 +288,15 @@ def test_an_integer_one_digit_too_long_fails_at_its_first_digit(text, position):
     assert str(info.value) == f"integer of 4301 digits too long to read (at position {position})"
 
 
+def test_parse_refuses_an_alphabet_below_one_whatever_the_text():
+    for alphabet_size in (0, -1):
+        for text in ("x1", "e", "", "y", "[x1,x2]"):
+            with pytest.raises(ValueError) as info:
+                parse_word(text, alphabet_size)
+            assert type(info.value) is ValueError
+            assert str(info.value) == f"alphabet size must be >= 1, got {alphabet_size}"
+
+
 def test_deep_nesting_is_a_syntax_error():
     assert parse_word("(" * 100 + "x1" + ")" * 100, 1).letters == (1,)
     for text in ("(" * 3000 + "x1" + ")" * 3000, "[x1," * 3000 + "x1" + "]" * 3000):
