@@ -57,8 +57,8 @@ word grammar:
     term      := atom ("^" signed-int)?
     atom      := generator | "e" | "[" word "," word "]" | "(" word ")"
     generator := "x" positive-int
-  "e" is the empty word, whitespace is insignificant, and
-  [a,b] = a^-1 b^-1 a b.
+  "e" is the empty word, whitespace may separate tokens but not
+  split one, and [a,b] = a^-1 b^-1 a b.
 
 e-map spec grammar:
     "trivial" | "const:<a>" | "gcdseq:<a1>,<a2>,..." | "zass:<p>,<t>"
