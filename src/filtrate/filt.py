@@ -206,6 +206,7 @@ def kernel_witness(g: GroupWord, spec: FiltrationSpec):
             if s := sums[i] % first if first else sums[i]:
                 return (1, (i,), s)
     row = spec.row
+    # the last degree below the level whose divisor is not 1
     top = next((d for d in range(n - 1, 1, -1) if row[d - 1] != 1), 0)
     if not top:
         return None
