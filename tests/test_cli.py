@@ -26,10 +26,11 @@ from filtrate.words import (
 from helpers import pairing_rows_by_magnus
 
 
-def run_child(argv, address_space=None):
+def run_child(argv, address_space=None, env=()):
     """Run the CLI in a child process, so the time and memory are those of
     a fresh command, with its address space capped at `address_space` bytes
-    if given; returns the finished process and its wall time."""
+    if given and the variables of `env` set; returns the finished process
+    and its wall time."""
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
@@ -37,7 +38,7 @@ def run_child(argv, address_space=None):
     proc = subprocess.run(
         [sys.executable, "-c", "from filtrate.cli import run; run()", *argv],
         capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **dict(env)},
         preexec_fn=cap_memory if address_space else None,
     )
     return proc, time.perf_counter() - start
@@ -166,6 +167,25 @@ def test_sample_frozen_and_byte_deterministic(capsys, scheme, level, words):
     assert report["words"] == words
     _, _, raw2 = run(capsys, argv)
     assert raw1 == raw2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--scheme", "zass:2,1", "--level", "4", "--alphabet", "2", "--seed", "7"],
+    ["sample", "--scheme", "product:zass:2,1", "--level", "4", "--alphabet", "2", "--seed", "7"],
+    ["massey", "--alphabet", "2", "--level", "5", "--emit-matrix"],
+    ["member", "--word", "[x1,x2]^3", "--emap", "zass:2,1", "--level", "4", "--alphabet", "2"],
+], ids=["zass", "product", "massey", "member"])
+def test_output_is_byte_identical_across_hash_seeds(capsys, argv):
+    # each command is a fresh process, and string hashes, so the order of
+    # sets and dicts of strings, change with PYTHONHASHSEED: the same
+    # invocation must print the same bytes under every seed
+    code, report, raw = run(capsys, argv)
+    assert code == 0
+    # the member call fails at degree 2, so its witness is printed too
+    assert argv[0] != "member" or report["witness"]["degree"] == 2
+    for hash_seed in ("0", "1"):
+        proc, _ = run_child(argv, env={"PYTHONHASHSEED": hash_seed})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, raw, "")
 
 
 @pytest.mark.parametrize("scheme", ["product:trivial", "product:const:2"])
