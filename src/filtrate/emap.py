@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import gcd
 
-from .coeff import ZZ, check_cells, divisible, spec_int
+from .coeff import ZZ, Record, check_cells, divisible, spec_int
 from .magnus import TruncSeries
 
 # the most bits a computed power entry (zass, const) may have; an entry is
@@ -103,13 +103,15 @@ def _is_prime(v: int) -> bool:
     return True
 
 
-class EMap:
-    """Base class; subclasses fill in _value(n, i).
+class EMap(Record):
+    """Base class; subclasses fill in _value(n, i) and name their parameters
+    as `coeff.Record` fields, so equal parameters make equal tables.
 
     A family that is descending for every parameter says so with
     descending_by_construction, and FiltrationSpec then skips the scan.
     """
 
+    __slots__ = ()
     descending_by_construction = False
 
     def evaluate(self, n: int, i: int) -> int:
@@ -136,6 +138,7 @@ class EMap:
 class TrivialEMap(EMap):
     """e(n, n) = 1 and e(n, i) = 0 below the diagonal."""
 
+    __slots__ = ()
     descending_by_construction = True
 
     def _value(self, n, i):
@@ -148,28 +151,23 @@ class TrivialEMap(EMap):
     def describe(self):
         return "trivial"
 
-    def __repr__(self):
-        return "TrivialEMap()"
-
 
 class ConstantEMap(EMap):
     """e(n, i) = a^(n-i) for a fixed a >= 0, so each entry is a times the next."""
 
+    __slots__ = _fields = ("a",)
     descending_by_construction = True
 
     def __init__(self, a: int):
         if a < 0:
             raise ValueError(f"base must be >= 0, got {a}")
-        self.a = a
+        object.__setattr__(self, "a", a)
 
     def _value(self, n, i):
         return _entry_power(n, i, self.a, n - i)
 
     def describe(self):
         return f"const:{self.a}"
-
-    def __repr__(self):
-        return f"ConstantEMap({self.a})"
 
 
 class SequenceGcdEMap(EMap):
@@ -184,6 +182,7 @@ class SequenceGcdEMap(EMap):
     multiple of g_{j-1}: the rows descend.  Entries must be ints, not bools.
     """
 
+    __slots__ = _fields = ("seq",)
     descending_by_construction = True
 
     def __init__(self, seq):
@@ -192,7 +191,7 @@ class SequenceGcdEMap(EMap):
             raise ValueError(f"sequence entries must be integers, got {bad[0]!r}")
         if any(a < 0 for a in seq):
             raise ValueError("sequence entries must be >= 0")
-        self.seq = seq
+        object.__setattr__(self, "seq", seq)
 
     def _check_length(self, n):
         if len(self.seq) < n - 1:
@@ -200,7 +199,7 @@ class SequenceGcdEMap(EMap):
                 f"need {n - 1} sequence entries for level {n}, have {len(self.seq)}"
             )
 
-    def row(self, n):
+    def _row(self, n):
         self._check_length(n)
         g = [1] + [0] * (n - 1)
         for a in self.seq[: n - 1]:
@@ -228,14 +227,12 @@ class SequenceGcdEMap(EMap):
     def describe(self):
         return "gcdseq:" + ",".join(str(a) for a in self.seq)
 
-    def __repr__(self):
-        return f"SequenceGcdEMap({self.seq})"
-
 
 class ZassenhausEMap(EMap):
     """e(n, i) = p^(t*j) where j is minimal with i*p^j >= n; j does not
     increase with i, and is 0 at i = n."""
 
+    __slots__ = _fields = ("p", "t")
     descending_by_construction = True
 
     def __init__(self, p: int, t: int = 1):
@@ -243,8 +240,8 @@ class ZassenhausEMap(EMap):
             raise ValueError(f"p must be prime, got {p}")
         if t < 1:
             raise ValueError(f"t must be >= 1, got {t}")
-        self.p = p
-        self.t = t
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "t", t)
 
     def _value(self, n, i):
         j = 0
@@ -269,20 +266,22 @@ class ZassenhausEMap(EMap):
     def describe(self):
         return f"zass:{self.p},{self.t}"
 
-    def __repr__(self):
-        return f"ZassenhausEMap({self.p}, {self.t})"
-
 
 class ExplicitEMap(EMap):
     """Values from a finite table of rows {n: (e(n,1), ..., e(n,n))}, given
     as a mapping or as (n, row) pairs.
 
     Indices and values must be ints (a bool is not one), and no index may
-    come twice: a table read from JSON is checked, not cast or merged."""
+    come twice: a table read from JSON is checked, not cast or merged.  It
+    compares by `pairs`, the (n, row) pairs sorted by n; lookups read
+    `table`, the rows as a dict, read-only like `TruncSeries.parts`."""
 
-    def __init__(self, table):
+    __slots__ = ("pairs", "table")
+    _fields = ("pairs",)
+
+    def __init__(self, pairs):
         clean = {}
-        for n, values in table.items() if isinstance(table, dict) else table:
+        for n, values in pairs.items() if isinstance(pairs, dict) else pairs:
             if type(n) is not int:
                 raise ValueError(f"row index must be an integer, got {n!r}")
             if n in clean:
@@ -299,7 +298,8 @@ class ExplicitEMap(EMap):
             if any(v < 0 for v in values):
                 raise ValueError(f"row {n} has negative entries")
             clean[n] = values
-        self.table = clean
+        object.__setattr__(self, "pairs", tuple(sorted(clean.items())))
+        object.__setattr__(self, "table", clean)
 
     def _value(self, n, i):
         if n not in self.table:
@@ -308,9 +308,6 @@ class ExplicitEMap(EMap):
 
     def describe(self):
         return "explicit"
-
-    def __repr__(self):
-        return f"ExplicitEMap({self.table})"
 
 
 def check_descending(e: EMap, n_max: int) -> CheckResult:

@@ -74,7 +74,8 @@ class FiltrationSpec(Record):
     keeps row `level` as `row`, which is all either route reads of the
     table.  Rows 1..level of a table that is not descending by construction
     (a `file:` table) are checked to descend first.  Equality, hashing and
-    printing read the table, as an object, and the level, not the row."""
+    printing read the table, a value, and the level, not the row; an
+    `ExplicitEMap`'s `table` dict is read-only, like `TruncSeries.parts`."""
 
     __slots__ = ("emap", "level", "row")
     _fields = ("emap", "level")

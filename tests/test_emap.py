@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from filtrate import coeff
 from filtrate.coeff import MAX_CELLS, RingSpec, ZZ, divisible
 from filtrate.emap import (
     MAX_ENTRY_BITS,
@@ -580,3 +581,20 @@ def test_rows_over_the_cell_limit_are_refused_before_they_are_built():
         # a single entry is not a row, and is not refused
         assert e.evaluate(n, n) == 1
     assert TrivialEMap().row(3) == (0, 0, 1)
+
+
+def test_sequence_gcd_rows_are_refused_over_the_cell_limit(monkeypatch):
+    # the row is built through EMap.row, so its length is checked before
+    # Lazard's recurrence runs its O(n^2) gcds
+    monkeypatch.setattr(coeff, "MAX_CELLS", 10)
+    e = SequenceGcdEMap([2] * 20)
+    message = (r"^row 15 of the exponent table needs 15 cells \(one per entry e\(n, 1..n\)\),"
+               r" over the limit of 10$")
+    with pytest.raises(ValueError, match=message):
+        e.row(15)
+    # a single entry costs its whole row, and is refused with it
+    with pytest.raises(ValueError, match=message):
+        e.evaluate(15, 15)
+    assert e.row(10) == tuple(2 ** (10 - i) for i in range(1, 11))
+    with pytest.raises(ValueError, match=r"^need 6 sequence entries for level 7, have 5$"):
+        SequenceGcdEMap([2] * 5).row(7)

@@ -1,11 +1,14 @@
-"""Value semantics of the record classes: RingSpec, FiltrationSpec,
-PairingMatrix, BasicCommutator, GroupWord, TruncSeries and CheckResult.
+"""Value semantics of the record classes: RingSpec, the exponent tables
+(every EMap family), FiltrationSpec, PairingMatrix, BasicCommutator,
+GroupWord, TruncSeries and CheckResult.
 
 Each is immutable, compares equal to a record of its own class with equal
 fields (CheckResult, a pair, also to the plain tuple), hashes by those
 fields (a TruncSeries, which holds dicts, is unhashable), copies, deep
 copies and pickles to an equal value, and checks its fields on
-construction.  All but CheckResult derive from `coeff.Record`.
+construction.  All but CheckResult derive from `coeff.Record`.  A
+FiltrationSpec compares its table as a value, so a spec over any table
+survives a deep copy and a pickle as an equal value.
 """
 
 import copy
@@ -15,7 +18,17 @@ import pickle
 import pytest
 
 from filtrate.coeff import Record, RingSpec, ZZ
-from filtrate.emap import CheckResult, ExplicitEMap, TrivialEMap, check_descending, parse_emap
+from filtrate.emap import (
+    CheckResult,
+    ConstantEMap,
+    EMap,
+    ExplicitEMap,
+    SequenceGcdEMap,
+    TrivialEMap,
+    ZassenhausEMap,
+    check_descending,
+    parse_emap,
+)
 from filtrate.filt import FiltrationSpec
 from filtrate.magnus import TruncSeries, magnus
 from filtrate.massey import PairingMatrix, pairing_matrix
@@ -57,15 +70,20 @@ def test_filtration_spec_values(tmp_path):
     assert spec == FiltrationSpec(emap=table, level=3)
     assert (spec.emap, spec.level, spec.row) == (table, 3, (4, 2, 1))
     assert spec != FiltrationSpec(table, 2)
-    # the table is compared as an object, and row takes no part
-    assert spec != FiltrationSpec(ExplicitEMap(table.table), 3)
-    table.table[3] = (2, 2, 1)
-    changed = FiltrationSpec(table, 3)
-    assert changed.row == (2, 2, 1) and changed == spec and hash(changed) == hash(spec)
+    # the table is compared as a value, whatever order its rows came in
+    twin = FiltrationSpec(ExplicitEMap([(3, (4, 2, 1)), (1, (1,)), (2, (2, 1))]), 3)
+    assert twin == spec and hash(twin) == hash(spec)
+    assert spec != FiltrationSpec(ExplicitEMap({**table.table, 3: (2, 2, 1)}), 3)
+    # and row takes no part: another family with the same row is another spec
+    assert FiltrationSpec(ConstantEMap(2), 3).row == spec.row
+    assert FiltrationSpec(ConstantEMap(2), 3) != spec
     assert repr(FiltrationSpec(TrivialEMap(), 2)) == "FiltrationSpec(emap=TrivialEMap(), level=2)"
+    assert repr(FiltrationSpec(ZassenhausEMap(2, 1), 3)) == (
+        "FiltrationSpec(emap=ZassenhausEMap(p=2, t=1), level=3)")
     for name in ("emap", "level", "row"):
         assert_immutable(spec, name)
-    assert copy.copy(spec) == spec and copy.copy(spec).row == spec.row
+    for copied in copies(spec):
+        assert copied == spec and hash(copied) == hash(spec) and copied.row == spec.row
     with pytest.raises(ValueError, match=r"^level must be >= 1, got 0$"):
         FiltrationSpec(TrivialEMap(), 0)
     path = tmp_path / "table.json"
@@ -74,6 +92,52 @@ def test_filtration_spec_values(tmp_path):
                                          r"first violation at \(2, 1\)$"):
         FiltrationSpec(parse_emap(f"file:{path}"), 2)
     assert FiltrationSpec(parse_emap(f"file:{path}"), 1).row == (1,)
+
+
+@pytest.mark.parametrize("text, fields", [
+    ("trivial", {}),
+    ("const:3", {"a": 3}),
+    ("gcdseq:2,4,8", {"seq": (2, 4, 8)}),
+    ("zass:2,1", {"p": 2, "t": 1}),
+    ("file:", {"pairs": ((1, (1,)), (2, (2, 1)), (3, (4, 2, 1)))}),
+])
+def test_exponent_table_values(tmp_path, text, fields):
+    if text == "file:":
+        path = tmp_path / "table.json"
+        # written from the last row up: the pairs are sorted by n
+        path.write_text(json.dumps([{"n": n, "values": row} for n, row in fields["pairs"][::-1]]))
+        text += str(path)
+    e, twin = parse_emap(text), parse_emap(text)
+    assert isinstance(e, EMap) and isinstance(e, Record)
+    assert e == twin and e is not twin and hash(e) == hash(twin)
+    assert {name: getattr(e, name) for name in type(e)._fields} == fields
+    for name in (*fields, "descending_by_construction"):
+        assert_immutable(e, name)
+    for copied in copies(e):
+        assert copied == e and hash(copied) == hash(e) and copied.row(3) == e.row(3)
+    spec = FiltrationSpec(e, 3)
+    assert spec == FiltrationSpec(twin, 3) and hash(spec) == hash(FiltrationSpec(twin, 3))
+    for copied in copies(spec):
+        assert copied == spec and hash(copied) == hash(spec) and copied.row == spec.row
+
+
+def test_exponent_tables_compare_by_family_and_fields():
+    assert repr(TrivialEMap()) == "TrivialEMap()"
+    assert repr(ConstantEMap(3)) == "ConstantEMap(a=3)"
+    assert repr(SequenceGcdEMap([2, 4])) == "SequenceGcdEMap(seq=(2, 4))"
+    assert repr(ZassenhausEMap(2)) == "ZassenhausEMap(p=2, t=1)"
+    assert repr(ExplicitEMap({2: (2, 1), 1: (1,)})) == "ExplicitEMap(pairs=((1, (1,)), (2, (2, 1))))"
+    # each repr is a call that builds an equal table
+    for e in (ConstantEMap(3), SequenceGcdEMap([2, 4]), ZassenhausEMap(2),
+              ExplicitEMap({2: (2, 1), 1: (1,)})):
+        assert eval(repr(e)) == e
+    assert ZassenhausEMap(2) == ZassenhausEMap(2, 1) == ZassenhausEMap(p=2, t=1)
+    assert ZassenhausEMap(2, 1) != ZassenhausEMap(2, 2) and ZassenhausEMap(2) != ZassenhausEMap(3)
+    assert SequenceGcdEMap([2, 4]) == SequenceGcdEMap((2, 4)) != SequenceGcdEMap((4, 2))
+    # equal rows in another family are another table
+    assert ConstantEMap(1) != SequenceGcdEMap((1, 1)) and ConstantEMap(2) != 2
+    assert ExplicitEMap({1: (1,)}) == ExplicitEMap([(1, (1,))]) != TrivialEMap()
+    assert len({TrivialEMap(), TrivialEMap(), ConstantEMap(3), parse_emap("const:3")}) == 2
 
 
 def test_pairing_matrix_values():
