@@ -218,14 +218,12 @@ def kernel_witness(g: GroupWord, spec: FiltrationSpec):
     check_cells(f"the kernel route at alphabet {k}, degree {top}",
                 f"alphabet^1 + ... + alphabet^{top} + {top}",
                 None if over else (top if k == 1 else (k ** (top + 1) - k) // (k - 1)) + top)
-    moduli = {d: m for d, m in enumerate(row[1:top], 2) if m != 1}
-    rows = _top_rows(g, lcm(*moduli.values()), top)
-    common = read = 0  # the gcd of every entry in the rows of lengths 1..read
-    for d, m in moduli.items():
-        for row in rows[read + 1:d + 1]:
-            common = gcd(common, *row)
-        read = d
-        if divisible(common, m):
+    rows = _top_rows(g, lcm(*row[1:top]), top)  # an e(n, d) of 1 drops out
+    common = 0  # the gcd of every entry in the rows of lengths 1..d
+    for d in range(1, top + 1):
+        common = gcd(common, *rows[d])
+        m = row[d - 1]
+        if d == 1 or divisible(common, m):  # degree 1 read the exponent sums
             continue
         for w in product(range(k), repeat=d):
             # entry (a, b) is the top-right entry of the image attached to
