@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -403,7 +404,13 @@ def _dispatch(argv) -> tuple[int, dict]:
 
 def main(argv=None) -> int:
     code, report = _dispatch(argv)
-    print(json.dumps(report))
+    try:
+        print(json.dumps(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: nothing is left to tell it, and
+        # the interpreter's own flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -14,12 +14,39 @@ class Record:
     equal fields, hashes and prints by them, and copies and pickles every
     slot as it is.
 
-    A subclass names its fields in `_fields`, in constructor order, and its
-    `__init__` stores them, and any other slot, with object.__setattr__.
+    A subclass declares its own `__slots__`: its fields first, named again
+    in `_fields` in constructor order, then any slot outside equality.  Its
+    `__init__` checks its input, then passes one value per slot, in that
+    order, to `Record.__init__`.  `_make` builds a record from slot values
+    already known to be valid, without those checks; copies and pickles
+    are rebuilt with it.  Only these two store a slot, through the slot
+    descriptors, since `__setattr__` raises.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the slot descriptors' own setters, past the raising __setattr__
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    def __init__(self, *values):
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError(f"{type(self).__name__}() takes {len(setters)} arguments, got {len(values)}")
+        for store, value in zip(setters, values):
+            store(self, value)
+
+    @classmethod
+    def _make(cls, *values):
+        """A record of these slot values, one per slot, stored without the
+        checks of cls.__init__."""
+        # __init__'s loop, inlined: a call costs as much as the stores
+        record = object.__new__(cls)
+        for store, value in zip(cls._setters, values):
+            store(record, value)
+        return record
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -43,13 +70,8 @@ class Record:
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
-        # restored slot by slot, as a dataclass restores its __dict__, so a
-        # copy is neither checked nor computed again
-        return object.__new__, (type(self),), {name: getattr(self, name) for name in self.__slots__}
-
-    def __setstate__(self, state):
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
+        # rebuilt slot by slot, so a copy is neither checked nor computed again
+        return type(self)._make, tuple(getattr(self, name) for name in self.__slots__)
 
 
 class RingSpec(Record):
@@ -60,7 +82,7 @@ class RingSpec(Record):
     def __init__(self, modulus: int = 0):
         if modulus < 0:
             raise ValueError(f"modulus must be non-negative, got {modulus}")
-        object.__setattr__(self, "modulus", modulus)
+        super().__init__(modulus)
 
     def __str__(self) -> str:
         return "Z" if self.modulus == 0 else f"Z/{self.modulus}"
@@ -69,8 +91,10 @@ class RingSpec(Record):
 ZZ = RingSpec(0)
 
 # Largest build made: pairing-matrix cells, kernel-route row entries,
-# product-sampler letters, or the degrees of a Magnus expansion.  Each is
-# counted and checked before any of it is made.
+# product-sampler letters, the degrees of a Magnus expansion, the cells of
+# a `rep` matrix (filt.phi), the entries of a table row (EMap.row), or the
+# words of a sample (filt._check_request).  Each is counted and checked
+# before any of it is made.
 MAX_CELLS = 10**7
 
 

@@ -161,7 +161,7 @@ class ConstantEMap(EMap):
     def __init__(self, a: int):
         if a < 0:
             raise ValueError(f"base must be >= 0, got {a}")
-        object.__setattr__(self, "a", a)
+        super().__init__(a)
 
     def _value(self, n, i):
         return _entry_power(n, i, self.a, n - i)
@@ -191,7 +191,7 @@ class SequenceGcdEMap(EMap):
             raise ValueError(f"sequence entries must be integers, got {bad[0]!r}")
         if any(a < 0 for a in seq):
             raise ValueError("sequence entries must be >= 0")
-        object.__setattr__(self, "seq", seq)
+        super().__init__(seq)
 
     def _check_length(self, n):
         if len(self.seq) < n - 1:
@@ -240,8 +240,7 @@ class ZassenhausEMap(EMap):
             raise ValueError(f"p must be prime, got {p}")
         if t < 1:
             raise ValueError(f"t must be >= 1, got {t}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "t", t)
+        super().__init__(p, t)
 
     def _value(self, n, i):
         j = 0
@@ -298,8 +297,7 @@ class ExplicitEMap(EMap):
             if any(v < 0 for v in values):
                 raise ValueError(f"row {n} has negative entries")
             clean[n] = values
-        object.__setattr__(self, "pairs", tuple(sorted(clean.items())))
-        object.__setattr__(self, "table", clean)
+        super().__init__(tuple(sorted(clean.items())), clean)
 
     def _value(self, n, i):
         if n not in self.table:

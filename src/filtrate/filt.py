@@ -90,9 +90,7 @@ class FiltrationSpec(Record):
                     f"exponent table is not descending up to level {level}: "
                     f"first violation at {result.violation}"
                 )
-        object.__setattr__(self, "emap", emap)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "row", emap.row(level))
+        super().__init__(emap, level, emap.row(level))
 
 
 def series_witness(g: GroupWord, spec: FiltrationSpec):

@@ -51,21 +51,7 @@ class TruncSeries(Record):
             if any(not 1 <= i <= alphabet_size for i in w):
                 raise ValueError(f"monomial {w} outside alphabet of size {alphabet_size}")
             parts[len(w)][w] = c
-        self._store(ring, alphabet_size, cap, [_canonical(p, ring.modulus) for p in parts])
-
-    @classmethod
-    def _trusted(cls, ring: RingSpec, alphabet_size: int, cap: int, parts) -> "TruncSeries":
-        """Wrap parts already canonical by degree, as `magnus` and `_product`
-        return them, without copying or reducing them."""
-        series = object.__new__(cls)
-        series._store(ring, alphabet_size, cap, parts)
-        return series
-
-    def _store(self, ring: RingSpec, alphabet_size: int, cap: int, parts):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "alphabet_size", alphabet_size)
-        object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "parts", parts)
+        super().__init__(ring, alphabet_size, cap, [_canonical(p, ring.modulus) for p in parts])
 
     @property
     def coeffs(self) -> dict:
@@ -105,7 +91,7 @@ class TruncSeries(Record):
         """Concatenation product; terms pushed past the cap are dropped."""
         self._require_compatible(other)
         parts = _product(self.parts, other.parts, self.ring.modulus, self.cap)
-        return TruncSeries._trusted(self.ring, self.alphabet_size, self.cap, parts)
+        return TruncSeries._make(self.ring, self.alphabet_size, self.cap, parts)
 
     def sorted_terms(self):
         """Terms in (length, lex) order."""
@@ -235,7 +221,7 @@ def magnus(g: GroupWord, ring: RingSpec, cap: int) -> TruncSeries:
     check_cells(f"the Magnus expansion at cap {cap}", "one per degree 0..cap", cap + 1)
     m = ring.modulus
     parts = _walk(_one(m, cap), g.program_at(cap), m, cap)
-    return TruncSeries._trusted(ring, g.alphabet_size, cap, parts)
+    return TruncSeries._make(ring, g.alphabet_size, cap, parts)
 
 
 def series_json(series: TruncSeries) -> dict:

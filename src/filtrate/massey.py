@@ -55,11 +55,7 @@ class PairingMatrix(Record):
 
     def __init__(self, level: int, alphabet_size: int, row_labels: tuple[GroupWord, ...],
                  column_labels: tuple[Monomial, ...], entries: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "alphabet_size", alphabet_size)
-        object.__setattr__(self, "row_labels", row_labels)
-        object.__setattr__(self, "column_labels", column_labels)
-        object.__setattr__(self, "entries", entries)
+        super().__init__(level, alphabet_size, row_labels, column_labels, entries)
 
 
 def _column(w: Monomial, k: int) -> int:

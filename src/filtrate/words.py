@@ -63,19 +63,7 @@ class GroupWord(Record):
             if s == 0 or abs(s) > alphabet_size:
                 raise ValueError(f"letter {s} outside alphabet of size {alphabet_size}")
             _push(runs, ((s, 1) if s > 0 else (-s, -1),))
-        object.__setattr__(self, "alphabet_size", alphabet_size)
-        object.__setattr__(self, "runs", tuple(runs))
-        object.__setattr__(self, "_program", None)
-
-    @classmethod
-    def _from_runs(cls, alphabet_size: int, runs: tuple, kept=None) -> "GroupWord":
-        """Wrap runs that are already valid and freely reduced, with the
-        (program, plain, products) they keep, or None (see `_program`)."""
-        w = object.__new__(cls)
-        object.__setattr__(w, "alphabet_size", alphabet_size)
-        object.__setattr__(w, "runs", runs)
-        object.__setattr__(w, "_program", kept)
-        return w
+        super().__init__(alphabet_size, tuple(runs), None)
 
     @property
     def program(self) -> tuple:
@@ -120,13 +108,13 @@ class GroupWord(Record):
         self._require_same_alphabet(other)
         product = [self._value], []
         _times(product, other._value)
-        return GroupWord._from_runs(self.alphabet_size, *_product(product))
+        return GroupWord._make(self.alphabet_size, *_product(product))
 
     def inverse(self) -> "GroupWord":
         return self ** -1
 
     def __pow__(self, k: int) -> "GroupWord":
-        return GroupWord._from_runs(self.alphabet_size, *_powered(self._value, k))
+        return GroupWord._make(self.alphabet_size, *_powered(self._value, k))
 
 
 # The word algebra works on values: a value is a pair (runs, kept) of reduced
@@ -288,7 +276,7 @@ def _commutator(a: tuple, b: tuple) -> tuple:
 def commutator(a: GroupWord, b: GroupWord) -> GroupWord:
     """[a, b] = a^-1 b^-1 a b (see `_commutator`)."""
     a._require_same_alphabet(b)
-    return GroupWord._from_runs(a.alphabet_size, *_commutator(a._value, b._value))
+    return GroupWord._make(a.alphabet_size, *_commutator(a._value, b._value))
 
 
 def format_word(w: GroupWord) -> str:
@@ -423,7 +411,7 @@ def parse_word(text: str, alphabet_size: int) -> GroupWord:
             if not stack:
                 if pos != end:
                     raise WordSyntaxError("unexpected character", pos)
-                return GroupWord._from_runs(alphabet_size, *_product(product))
+                return GroupWord._make(alphabet_size, *_product(product))
             bracket, outer, left = stack[-1]
             if bracket == "[" and left is None:
                 if ch != ",":
@@ -526,9 +514,7 @@ class BasicCommutator(Record):
                  right: BasicCommutator | None = None):
         if not (gen is None) == (left is not None) == (right is not None):
             raise ValueError("need exactly one of: generator, (left, right)")
-        object.__setattr__(self, "gen", gen)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        super().__init__(gen, left, right)
 
     @property
     def is_leaf(self) -> bool:

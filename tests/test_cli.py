@@ -188,6 +188,28 @@ def test_output_is_byte_identical_across_hash_seeds(capsys, argv):
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, raw, "")
 
 
+@pytest.mark.parametrize("argv", [
+    ["member", "--word", "[x1,x2]", "--emap", "trivial", "--level", "2", "--alphabet", "2"],
+    ["massey", "--alphabet", "2", "--level", "9", "--emit-matrix"],
+    ["--help"],
+    ["--version"],
+], ids=["member", "massey", "help", "version"])
+def test_a_reader_that_closes_stdout_gets_no_traceback(argv):
+    # the read end is closed before the child starts, so its first write to
+    # stdout fails, as under `filtrate ... | head -c 100` with a long report
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from filtrate.cli import run; run()", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 @pytest.mark.parametrize("scheme", ["product:trivial", "product:const:2"])
 def test_product_sampler_on_one_letter(capsys, scheme):
     # only weight 1 has a Lyndon word on one letter
@@ -521,7 +543,7 @@ def _magnus_with_a_wrong_negative_binomial(g, ring, cap):
     in the top argument: the same as expanding x_i^(e-1) for each run x_i^e
     with e < 0."""
     runs = tuple((i, e - 1 if e < 0 else e) for i, e in g.runs)
-    return magnus(GroupWord._from_runs(g.alphabet_size, runs), ring, cap)
+    return magnus(GroupWord._make(g.alphabet_size, runs, None), ring, cap)
 
 
 def test_a_broken_magnus_makes_the_routes_disagree(monkeypatch, tmp_path, capsys):

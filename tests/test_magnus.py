@@ -332,7 +332,7 @@ def _walked(program, ring, k, cap):
     """The expansion of a program through the power-node walk, whatever the
     cost rule in `magnus` would choose."""
     parts = magnus_module._walk(magnus_module._one(ring.modulus, cap), program, ring.modulus, cap)
-    return TruncSeries._trusted(ring, k, cap, parts).coeffs
+    return TruncSeries._make(ring, k, cap, parts).coeffs
 
 
 def test_power_programs_match_letter_by_letter():

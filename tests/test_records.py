@@ -9,6 +9,11 @@ copies and pickles to an equal value, and checks its fields on
 construction.  All but CheckResult derive from `coeff.Record`.  A
 FiltrationSpec compares its table as a value, so a spec over any table
 survives a deep copy and a pickle as an equal value.
+
+One sweep covers every `Record` subclass in the package: each declares
+its own slots with its fields first, and `_make` of a value's slots, which
+copies and pickles go through, rebuilds it slot for slot, a word's program
+included.
 """
 
 import copy
@@ -137,6 +142,8 @@ def test_exponent_tables_compare_by_family_and_fields():
     # equal rows in another family are another table
     assert ConstantEMap(1) != SequenceGcdEMap((1, 1)) and ConstantEMap(2) != 2
     assert ExplicitEMap({1: (1,)}) == ExplicitEMap([(1, (1,))]) != TrivialEMap()
+    with pytest.raises(TypeError, match=r"^TrivialEMap\(\) takes 0 arguments, got 1$"):
+        TrivialEMap(2)
     assert len({TrivialEMap(), TrivialEMap(), ConstantEMap(3), parse_emap("const:3")}) == 2
 
 
@@ -239,3 +246,49 @@ def test_check_result_values():
     for name in ("ok", "violation"):
         assert_immutable(bad, name)
     assert copy.copy(bad) == copy.deepcopy(bad) == pickle.loads(pickle.dumps(bad)) == bad
+
+
+# one value of each record class, as the tests above build them
+SAMPLES = {
+    RingSpec: lambda: RingSpec(12),
+    EMap: EMap,
+    TrivialEMap: TrivialEMap,
+    ConstantEMap: lambda: ConstantEMap(3),
+    SequenceGcdEMap: lambda: SequenceGcdEMap([2, 4, 8]),
+    ZassenhausEMap: lambda: ZassenhausEMap(2, 1),
+    ExplicitEMap: lambda: ExplicitEMap({2: (2, 1), 1: (1,)}),
+    FiltrationSpec: lambda: FiltrationSpec(ExplicitEMap({1: (1,), 2: (2, 1), 3: (4, 2, 1)}), 3),
+    PairingMatrix: lambda: pairing_matrix(2, 3),
+    BasicCommutator: lambda: basic_commutator((1, 1, 2, 1, 2)),
+    GroupWord: lambda: parse_word("(x1*x2^-1)^1000", 2),
+    TruncSeries: lambda: magnus(parse_word("x1*x2^-1", 2), ZZ, 3),
+}
+
+
+def record_classes(cls=Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from record_classes(sub)
+
+
+def test_every_record_class_has_a_sample():
+    # importing filtrate.coeff above ran the package's __init__, which
+    # imports every module that defines a record class
+    assert set(record_classes()) == set(SAMPLES)
+
+
+@pytest.mark.parametrize("cls", sorted(record_classes(), key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_make_rebuilds_every_slot(cls):
+    assert "__slots__" in cls.__dict__
+    assert cls.__slots__[:len(cls._fields)] == cls._fields
+    value = SAMPLES[cls]()
+    slots = tuple(getattr(value, name) for name in cls.__slots__)
+    made = cls._make(*slots)
+    assert type(made) is cls and made == value
+    assert all(getattr(made, name) is slot for name, slot in zip(cls.__slots__, slots))
+    if cls is GroupWord:
+        assert made._program is not None and made.program_at(3) == value.program
+    for twin in copies(made):
+        assert type(twin) is cls and twin == value
+        assert tuple(getattr(twin, name) for name in cls.__slots__) == slots
