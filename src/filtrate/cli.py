@@ -406,13 +406,20 @@ def main(argv=None) -> int:
     code, report = _dispatch(argv)
     try:
         print(json.dumps(report))
-        sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed stdout early: nothing is left to tell it, and
-        # the interpreter's own flush at exit must not fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        pass  # the reader closed stdout early; run drops the rest
     return code
 
 
 def run():
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    finally:
+        # flush what a block-buffered stdout still holds: main's report, or the
+        # text of --help and --version, which leave through SystemExit.  When
+        # the reader closed stdout early, nothing is left to tell it, and the
+        # interpreter's own flush at exit must not fail again
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

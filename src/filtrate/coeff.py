@@ -14,13 +14,12 @@ class Record:
     equal fields, hashes and prints by them, and copies and pickles every
     slot as it is.
 
-    A subclass declares its own `__slots__`: its fields first, named again
-    in `_fields` in constructor order, then any slot outside equality.  Its
-    `__init__` checks its input, then passes one value per slot, in that
-    order, to `Record.__init__`.  `_make` builds a record from slot values
-    already known to be valid, without those checks; copies and pickles
-    are rebuilt with it.  Only these two store a slot, through the slot
-    descriptors, since `__setattr__` raises.
+    A subclass declares its own `__slots__`, its fields first (named again in
+    `_fields`, in constructor order), then any slot outside equality; its
+    `__init__` checks its input and passes one value per slot, in that order,
+    to `Record.__init__`, the only code that stores a slot.  `_make` stores
+    slot values known to be valid without those checks; copies and pickles
+    are rebuilt with it.
     """
 
     __slots__ = ()
@@ -28,6 +27,8 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        if "__slots__" not in cls.__dict__:
+            raise TypeError(f"{cls.__name__} must declare its own __slots__")
         # the slot descriptors' own setters, past the raising __setattr__
         cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
@@ -40,12 +41,9 @@ class Record:
 
     @classmethod
     def _make(cls, *values):
-        """A record of these slot values, one per slot, stored without the
-        checks of cls.__init__."""
-        # __init__'s loop, inlined: a call costs as much as the stores
+        """A record of these slot values, without the checks of cls.__init__."""
         record = object.__new__(cls)
-        for store, value in zip(cls._setters, values):
-            store(record, value)
+        Record.__init__(record, *values)
         return record
 
     def _values(self) -> tuple:

@@ -105,7 +105,8 @@ def _is_prime(v: int) -> bool:
 
 class EMap(Record):
     """Base class; subclasses fill in _value(n, i) and name their parameters
-    as `coeff.Record` fields, so equal parameters make equal tables.
+    as `coeff.Record` fields, so equal parameters make equal tables: a family
+    declares its own `__slots__` and passes their values to `super().__init__`.
 
     A family that is descending for every parameter says so with
     descending_by_construction, and FiltrationSpec then skips the scan.

@@ -188,22 +188,29 @@ def test_output_is_byte_identical_across_hash_seeds(capsys, argv):
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, raw, "")
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [
     ["member", "--word", "[x1,x2]", "--emap", "trivial", "--level", "2", "--alphabet", "2"],
     ["massey", "--alphabet", "2", "--level", "9", "--emit-matrix"],
     ["--help"],
     ["--version"],
 ], ids=["member", "massey", "help", "version"])
-def test_a_reader_that_closes_stdout_gets_no_traceback(argv):
+def test_a_reader_that_closes_stdout_gets_no_traceback(argv, unbuffered):
     # the read end is closed before the child starts, so its first write to
-    # stdout fails, as under `filtrate ... | head -c 100` with a long report
+    # stdout fails, as under `filtrate ... | head -c 100` with a long report;
+    # a block-buffered stdout (a pipe's default) holds a short report, or the
+    # text of --help, until a flush, where an unbuffered one
+    # (PYTHONUNBUFFERED) fails at the write itself
     read_end, write_end = os.pipe()
     os.close(read_end)
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     try:
         proc = subprocess.run(
             [sys.executable, "-c", "from filtrate.cli import run; run()", *argv],
             stdout=write_end, stderr=subprocess.PIPE, timeout=60,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            env={**env, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
     finally:
         os.close(write_end)

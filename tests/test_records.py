@@ -13,7 +13,8 @@ survives a deep copy and a pickle as an equal value.
 One sweep covers every `Record` subclass in the package: each declares
 its own slots with its fields first, and `_make` of a value's slots, which
 copies and pickles go through, rebuilds it slot for slot, a word's program
-included.
+included, and refuses a wrong count of values.  A subclass that declares no
+slots of its own is refused when it is defined.
 """
 
 import copy
@@ -292,3 +293,15 @@ def test_make_rebuilds_every_slot(cls):
     for twin in copies(made):
         assert type(twin) is cls and twin == value
         assert tuple(getattr(twin, name) for name in cls.__slots__) == slots
+    # one value per slot, no fewer and no more
+    for wrong in (slots[:-1], slots + (None,)):
+        if len(wrong) != len(slots):
+            with pytest.raises(TypeError, match=rf"^{cls.__name__}\(\) takes {len(slots)} arguments, got {len(wrong)}$"):
+                cls._make(*wrong)
+
+
+def test_a_record_class_declares_its_own_slots():
+    # inherited slots would leave the subclass's own values nowhere to go
+    with pytest.raises(TypeError, match=r"^Loose must declare its own __slots__$"):
+        class Loose(RingSpec):
+            pass
