@@ -16,17 +16,19 @@ routes disagreed, which is always a bug).
     filtrate massey --alphabet 2 --level 4 [--emit-matrix]
     filtrate batch --jobs jobs.json
 
-The flags of every subcommand are declared once, in COMMANDS; the argparse
-parser and the parameters of a batch job are both read from it.
+The flags of every subcommand are declared once, in COMMANDS; the fast
+path of `_dispatch`, the argparse parser and the parameters of a batch job
+are all read from it.  argparse is imported only for help and for the
+command lines that the fast path leaves to it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from functools import cache
+from types import SimpleNamespace
 
 from . import __version__
 from .coeff import parse_ring, spec_int
@@ -87,18 +89,12 @@ def _parse_error(message: str, **extra) -> _CliError:
     return _CliError(2, "parse", message, **extra)
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose errors become JSON parse reports, not usage text."""
-
-    def error(self, message):
-        raise _parse_error(f"{self.prog}: {message}")
-
-
 def _integer(low: int | None = None):
     """A type= converter for an integer flag in ASCII digits (`spec_int`), >= low if given."""
     def convert(text: str) -> int:
         value = spec_int(text)
         if low is not None and value < low:
+            import argparse
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
     convert.__name__ = "int"  # argparse names it in "invalid int value: ..."
@@ -114,6 +110,7 @@ def _flag_type(parse):
         except LimitError as exc:
             raise _CliError(3, "precondition", str(exc)) from exc
         except ValueError as exc:
+            import argparse
             raise argparse.ArgumentTypeError(str(exc)) from exc
     return convert
 
@@ -370,8 +367,16 @@ def _error_report(exc: _CliError) -> dict:
 
 
 @cache
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     """The command-line parser, built from COMMANDS on first use and shared."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An ArgumentParser whose errors become JSON parse reports, not usage text."""
+
+        def error(self, message):
+            raise _parse_error(f"{self.prog}: {message}")
+
     parser = _Parser(
         prog="filtrate",
         description="Exponent-table filtrations of free groups.",
@@ -387,9 +392,65 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fast_args(argv):
+    """The namespace argparse makes of argv, or None to leave argv to argparse.
+
+    Read is "<command>" then "--flag value" or "--flag=value", each flag of
+    COMMANDS in full and at most once, no value starting with "-".  Values
+    convert in argv order, then the defaults, as in argparse, and a
+    converter's `_CliError` propagates.  A prefix, help, a failed
+    conversion, a bad choice or a missing flag returns None, so argparse
+    alone reports errors and prints help.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    flags = COMMANDS[argv[0]][2]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, sep, value = token.partition("=")
+        flag = name[2:]
+        keywords = flags.get(flag) if name[:2] == "--" else None
+        if keywords is None or flag in given:
+            return None
+        if keywords.get("action") == "store_true":
+            if sep:
+                return None
+            value = True
+        else:
+            if not sep:
+                value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+        given[flag] = value
+    if any(keywords.get("required") and flag not in given for flag, keywords in flags.items()):
+        return None
+    args = {"command": argv[0]}
+    for flag, value in given.items():
+        keywords = flags[flag]
+        if value is not True:
+            try:
+                value = keywords.get("type", str)(value)
+            except _CliError:
+                raise
+            except Exception:
+                return None  # argparse converts it again and reports or raises the same
+            if "choices" in keywords and value not in keywords["choices"]:
+                return None
+        args[flag.replace("-", "_")] = value
+    for flag, keywords in flags.items():
+        if flag not in given:
+            store_true = keywords.get("action") == "store_true"
+            value = keywords.get("default", False if store_true else None)
+            if isinstance(value, str) and "type" in keywords:
+                value = keywords["type"](value)
+            args[flag.replace("-", "_")] = value
+    return SimpleNamespace(**args)
+
+
 def _dispatch(argv) -> tuple[int, dict]:
     try:
-        args = _parser().parse_args(argv)
+        args = _fast_args(argv) or _parser().parse_args(argv)
         code, body = COMMANDS[args.command][1](args)
     except _CliError as exc:
         return exc.code, _error_report(exc)
@@ -403,7 +464,7 @@ def _dispatch(argv) -> tuple[int, dict]:
 
 
 def main(argv=None) -> int:
-    code, report = _dispatch(argv)
+    code, report = _dispatch(sys.argv[1:] if argv is None else argv)
     try:
         print(json.dumps(report))
     except BrokenPipeError:

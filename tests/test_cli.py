@@ -1,11 +1,15 @@
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import filtrate.cli as cli
 from filtrate import filt
@@ -26,14 +30,47 @@ from filtrate.words import (
 from helpers import pairing_rows_by_magnus
 
 
+_FAST_ARGS = cli._fast_args
+
+
+def fast_args_checked(argv):
+    """`cli._fast_args(argv)`, checked against argparse: it declines argv
+    (None), or returns what `vars` shows of argparse's namespace, or raises
+    the `_CliError` that argparse raises."""
+    try:
+        fast = _FAST_ARGS(argv)
+    except cli._CliError as exc:
+        with pytest.raises(cli._CliError) as slow:
+            cli._parser().parse_args(argv)
+        assert (slow.value.code, slow.value.kind, str(slow.value)) == (exc.code, exc.kind, str(exc))
+        raise
+    if fast is not None:
+        try:
+            slow = cli._parser().parse_args(argv)
+        except cli._CliError as exc:
+            pytest.fail(f"the fast path read {argv!r}, which argparse refuses: {exc}")
+        assert vars(fast) == vars(slow)
+    return fast
+
+
+@pytest.fixture(autouse=True)
+def fast_path_checked(monkeypatch):
+    # every argv that a test here parses in-process, batch jobs included, is
+    # a case of the differential gate: the fast path must decline it or read
+    # it as argparse does, so the command runs on the same values
+    monkeypatch.setattr(cli, "_fast_args", fast_args_checked)
+
+
 def run_child(argv, address_space=None, env=()):
     """Run the CLI in a child process, so the time and memory are those of
     a fresh command, with its address space capped at `address_space` bytes
     if given and the variables of `env` set; returns the finished process
-    and its wall time."""
+    and its wall time.  The fast path is checked on argv in this process
+    first, as for every in-process call."""
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
+    fast_args_checked(argv)
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-c", "from filtrate.cli import run; run()", *argv],
@@ -1039,3 +1076,206 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == "filtrate 0.1.0"
+
+
+# The differential gate: argv that the fast path of cli._dispatch reads, or
+# must leave to argparse.  "{tmp}" is the directory of `cli_files`.
+FAST_PATH_ARGVS = {
+    # the shapes of the benchmark's cli workload, every subcommand
+    "member-trivial": ["member", "--word", "[x1,x2]*x1^2", "--emap", "trivial", "--level", "4",
+                       "--alphabet", "2", "--route", "both"],
+    "member-zass": ["member", "--word", "[[x1,x2],x1]", "--emap", "zass:2,1", "--level", "5",
+                    "--alphabet", "2", "--route", "both"],
+    "member-zass-3": ["member", "--word", "x1*x3^-1*x2*x2*x1^-1*x3", "--emap", "zass:3,1",
+                      "--level", "4", "--alphabet", "3", "--route", "both"],
+    "member-gcdseq": ["member", "--word", "x2*x1*x1*x2^-1*x1^-1*x2", "--emap", "gcdseq:2,3,4,5",
+                      "--level", "5", "--alphabet", "2", "--route", "both"],
+    "member-series": ["member", "--word", "[x1,x3]^2", "--emap", "zass:2,1", "--level", "4",
+                      "--alphabet", "3", "--route", "series"],
+    "member-kernels": ["member", "--word", "x3*x1*x2^-1*x1*x3*x2", "--emap", "trivial",
+                       "--level", "3", "--alphabet", "3", "--route", "kernels"],
+    "magnus-Z": ["magnus", "--word", "x1*x2^-1*x1*x1*x2*x2", "--ring", "Z", "--cap", "4",
+                 "--alphabet", "2"],
+    "magnus-Z/6": ["magnus", "--word", "x3*x1*x2^-1*x3^-1*x2*x1", "--ring", "Z/6", "--cap", "3",
+                   "--alphabet", "3"],
+    "rep-Z": ["rep", "--word", "[x1^-1,x3]", "--monomial", "x3x1x2x1", "--ring", "Z",
+              "--alphabet", "3"],
+    "rep-Z/5": ["rep", "--word", "[x2,x1]", "--monomial", "x2x1", "--ring", "Z/5", "--alphabet", "2"],
+    "sample-afilt": ["sample", "--scheme", "afilt:2,3,4", "--level", "3", "--alphabet", "2",
+                     "--seed", "52213", "--count", "5"],
+    "sample-zass": ["sample", "--scheme", "zass:3,1", "--level", "3", "--alphabet", "2",
+                    "--seed", "999999", "--count", "5"],
+    "sample-product": ["sample", "--scheme", "product:zass:2,1", "--level", "3", "--alphabet", "2",
+                       "--seed", "0", "--count", "5"],
+    "emap-check-gcdseq": ["emap-check", "--emap", "gcdseq:2,3,4,6,8,9,10,12,15", "--nmax", "9"],
+    "emap-check-const": ["emap-check", "--emap", "const:6", "--nmax", "8"],
+    "emap-check-file": ["emap-check", "--emap", "file:{tmp}/not_descending.json", "--nmax", "3"],
+    "massey": ["massey", "--alphabet", "3", "--level", "4"],
+    "batch": ["batch", "--jobs", "{tmp}/batch.json"],
+    "error-word": ["member", "--word", "x1**x2", "--emap", "trivial", "--level", "3",
+                   "--alphabet", "2"],
+    "error-massey-level": ["massey", "--alphabet", "2", "--level", "1"],
+    "error-file-table": ["member", "--word", "x1", "--emap", "file:{tmp}/not_descending.json",
+                         "--level", "3", "--alphabet", "2"],
+    "hostile-batch": ["batch", "--jobs", "{tmp}/bad_jobs.json"],
+    # the report too long for a pipe, from the closed-stdout test
+    "massey-emit-9": ["massey", "--alphabet", "2", "--level", "9", "--emit-matrix"],
+    # pinned spellings
+    "equals": ["member", "--word=[x1,x2]", "--emap=trivial", "--level=2", "--alphabet=2",
+               "--route=series"],
+    "equals-in-value": ["member", "--word", "x1", "--emap=file:{tmp}/a=b.json", "--level", "2",
+                        "--alphabet", "2"],
+    "empty-value": ["member", "--word=", "--emap", "trivial", "--level", "2", "--alphabet", "2"],
+    "prefix": ["member", "--word", "x1", "--emap", "trivial", "--lev", "2", "--alphabet", "2"],
+    "prefix-switch": ["massey", "--alphabet", "2", "--level", "3", "--emit"],
+    "ambiguous-prefix": ["sample", "--scheme", "zass:2,1", "--level", "2", "--alphabet", "2",
+                         "--s", "1"],
+    "repeated": ["member", "--word", "x1", "--emap", "trivial", "--level", "2", "--level", "3",
+                 "--alphabet", "2"],
+    "negative-seed": ["sample", "--scheme", "zass:2,1", "--level", "2", "--alphabet", "2",
+                      "--seed", "-5"],
+    "negative-level": ["member", "--word", "x1", "--emap", "trivial", "--level", "-3",
+                       "--alphabet", "2"],
+    "dash-word": ["member", "--word=-x1", "--emap", "trivial", "--level", "2", "--alphabet", "2"],
+    "switch-value": ["massey", "--alphabet", "2", "--level", "3", "--emit-matrix=1"],
+    "switch-then-value": ["massey", "--emit-matrix", "yes", "--alphabet", "2", "--level", "3"],
+    "double-dash": ["massey", "--alphabet", "2", "--", "--level", "3"],
+    "double-dash-last": ["massey", "--alphabet", "2", "--level", "3", "--"],
+    "flag-without-value": ["massey", "--alphabet", "2", "--level"],
+    "short-help": ["member", "-h"],
+    "help-value": ["member", "--word", "--help", "--emap", "trivial", "--level", "2",
+                   "--alphabet", "2"],
+    "help": ["--help"],
+    "version": ["--version"],
+    "version-after-command": ["massey", "--alphabet", "2", "--level", "3", "--version"],
+    "unknown-flag": ["massey", "--alphabet", "2", "--level", "3", "--bogus", "1"],
+    "stray-value": ["massey", "--alphabet", "2", "--level", "3", "4"],
+    "missing-flag": ["member", "--word", "x1", "--level", "2"],
+    "bad-route": ["member", "--word", "x1", "--emap", "trivial", "--level", "2", "--alphabet", "2",
+                  "--route", "diagonal"],
+    "bad-level-before-limit": ["member", "--word", "x1", "--level", "two",
+                               "--emap", f"zass:{PRIME_LIMIT + 2},1", "--alphabet", "2"],
+    "limit-before-bad-level": ["member", "--word", "x1", "--emap", f"zass:{PRIME_LIMIT + 2},1",
+                               "--level", "two", "--alphabet", "2"],
+    "limit-and-prefix": ["emap-check", "--emap", f"zass:{PRIME_LIMIT + 2},1", "--nm", "3"],
+    "unknown-command": ["frobnicate", "--level", "2"],
+    "empty": [],
+}
+
+
+@pytest.fixture
+def cli_files(tmp_path):
+    """The table and jobs files that FAST_PATH_ARGVS read, in tmp_path."""
+    (tmp_path / "not_descending.json").write_text(json.dumps(
+        [{"n": 1, "values": [1]}, {"n": 2, "values": [2, 1]}, {"n": 3, "values": [2, 4, 1]}]))
+    (tmp_path / "a=b.json").write_text(json.dumps([{"n": 1, "values": [1]}]))
+    (tmp_path / "batch.json").write_text(json.dumps([
+        {"command": "member", "parameters": {"word": "[x1,x2]", "emap": "zass:2,1", "level": "4",
+                                             "alphabet": "2", "route": "both"}},
+        {"command": "magnus", "parameters": {"word": "x1*x2^-1", "ring": "Z", "cap": "3",
+                                             "alphabet": "2"},
+         "output": str(tmp_path / "magnus.json")},
+        {"command": "emap-check", "parameters": {"emap": "zass:3,1", "nmax": "8"}},
+        {"command": "sample", "parameters": {"scheme": "zass:2,1", "level": "3", "alphabet": "2",
+                                             "seed": "-5", "count": "3"}},
+    ]))
+    (tmp_path / "bad_jobs.json").write_text(json.dumps([
+        {"command": "massey", "parameters": {"alphabet": 2, "level": 3}},
+        {"command": "member", "parameters": [1, 2]},
+        {"command": "massey", "parameters": {"alphabet": 2, "level": 3},
+         "output": str(tmp_path / "missing" / "out.json")},
+    ]))
+    return tmp_path
+
+
+def main_outcome(capsys, argv):
+    """What `cli.main(argv)` gives: the exit code, stdout and stderr."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# the argv of FAST_PATH_ARGVS that the fast path leaves to argparse
+DECLINED = {"prefix", "prefix-switch", "ambiguous-prefix", "repeated", "negative-seed",
+            "negative-level", "dash-word", "switch-value", "switch-then-value", "double-dash",
+            "double-dash-last", "flag-without-value", "short-help", "help-value", "help",
+            "version", "version-after-command", "unknown-flag", "stray-value", "missing-flag",
+            "bad-route", "bad-level-before-limit", "limit-and-prefix", "unknown-command", "empty"}
+
+
+@pytest.mark.parametrize("name", FAST_PATH_ARGVS)
+def test_the_fast_path_reads_argv_as_argparse_does(monkeypatch, capsys, cli_files, name):
+    argv = [token.format(tmp=cli_files) for token in FAST_PATH_ARGVS[name]]
+    try:
+        read = fast_args_checked(argv) is not None
+    except cli._CliError:
+        read = True  # a converter refused a value, as it does under argparse
+    assert read == (name not in DECLINED)
+    fast = main_outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_fast_args", lambda argv: None)
+    assert main_outcome(capsys, argv) == fast
+
+
+# mostly well-formed values, so the fast path reads about a fifth of the argv
+_NUMBERS = st.one_of(*[st.integers(1, 3).map(str)] * 4,
+                     st.sampled_from(["-3", "0", "4", "٣", "²", "２", "+2", " 2 ", "1_0", "two", ""]))
+_FLAG_VALUES = {
+    "word": st.sampled_from(["x1", "[x1,x2]", "x1^-2*x2", "(x2*x1)^2", "e", "[x1,x2]^2",
+                             "x1**", "x٣", "-x1", "x3"]),
+    "monomial": st.sampled_from(["x1x2", "x1", "x2x1x1", "", "x1²", "x3"]),
+    "emap": st.sampled_from(["trivial", "const:2", "zass:2,1", "gcdseq:2,3,4", "zass:3,1",
+                             "zass:4,1", "const:-1", "bogus:1", "file:/nonexistent.json",
+                             f"zass:{PRIME_LIMIT + 2},1"]),
+    "scheme": st.sampled_from(["zass:2,1", "afilt:2,3", "product:trivial", "zass:3,1",
+                               "zass:4,1", "bogus", f"zass:{PRIME_LIMIT + 2},1"]),
+    "ring": st.sampled_from(["Z", "Z/4", "Z/6", "Z/٣", "Z/-3", "Q"]),
+    "route": st.sampled_from(["series", "kernels", "both", "diagonal"]),
+    "jobs": st.just("/nonexistent/jobs.json"),
+}
+
+
+@st.composite
+def _flag_tokens(draw, flag):
+    """One flag as argv tokens: spelled in full or as a prefix, its value
+    after a space or an "=", or missing; a switch alone, or with a value."""
+    prefix = flag[:draw(st.integers(1, len(flag)))]
+    name = "--" + draw(st.sampled_from([flag] * 9 + [prefix]))
+    if flag == "emit-matrix":
+        return draw(st.sampled_from([[name]] * 8 + [[f"{name}=1"], [name, "1"]]))
+    value = draw(_FLAG_VALUES.get(flag, _NUMBERS))
+    return draw(st.sampled_from([[name, value], [f"{name}={value}"]] * 5 + [[name]]))
+
+
+@st.composite
+def _command_lines(draw):
+    """argv from the flags of COMMANDS, with flags left out or repeated and
+    unknown flags, "--" and stray values mixed in; never -h, --help or
+    --version."""
+    command = draw(st.sampled_from([*cli.COMMANDS] * 3 + ["frobnicate"]))
+    flags = cli.COMMANDS[command][2] if command in cli.COMMANDS else {"level": None}
+    options = [draw(_flag_tokens(flag)) for flag in flags
+               for _ in range(draw(st.sampled_from([1] * 18 + [0, 2])))]
+    options += draw(st.sampled_from([[]] * 8 + [[["--bogus", "1"]], [["--bogus=1"]], [["-x"]],
+                                                [["--"]], [["7"]]]))
+    argv = [command, *[token for option in draw(st.permutations(options)) for token in option]]
+    return draw(st.sampled_from([argv] * 9 + [[]]))
+
+
+@settings(derandomize=True)
+@given(_command_lines())
+def test_fuzzed_command_lines_give_one_json_line_either_way(argv):
+    # the fast path is checked against argparse inside cli.main (the autouse
+    # fixture), and the bytes must not change when argparse parses alone
+    outcomes = []
+    for fast_args in (cli._fast_args, lambda argv: None):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(cli, "_fast_args", fast_args), redirect_stdout(out), \
+                redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2, 3) and err.getvalue() == ""
+        assert out.getvalue().count("\n") == 1 and isinstance(json.loads(out.getvalue()), dict)
+        outcomes.append((code, out.getvalue()))
+    assert outcomes[0] == outcomes[1]
