@@ -40,6 +40,7 @@ from .emap import (
     check_condition_iii,
     check_descending,
     parse_emap,
+    read_json,
     spec_ints,
 )
 from .filt import (
@@ -249,12 +250,11 @@ def _cmd_massey(args) -> tuple[int, dict]:
 
 def _cmd_batch(args) -> tuple[int, dict]:
     try:
-        with open(args.jobs, encoding="utf-8") as fh:
-            jobs = json.load(fh)
-        if not isinstance(jobs, list):
-            raise ValueError("jobs file must hold a JSON array")
-    except (OSError, ValueError) as exc:
-        raise _parse_error(f"cannot read jobs file {args.jobs!r}: {exc}") from exc
+        jobs = read_json(args.jobs, "jobs file")
+    except ValueError as exc:
+        raise _parse_error(str(exc)) from exc
+    if not isinstance(jobs, list):
+        raise _parse_error(f"cannot read jobs file {args.jobs!r}: jobs file must hold a JSON array")
     reports = []
     worst = 0
     for index, job in enumerate(jobs):
@@ -270,7 +270,7 @@ def _cmd_batch(args) -> tuple[int, dict]:
                 with open(output, "w", encoding="utf-8") as fh:
                     fh.write(json.dumps(report) + "\n")
                 entry = {"job": index, "exit": code, "output": output}
-            except (OSError, TypeError) as exc:
+            except (OSError, TypeError, ValueError) as exc:  # ValueError: a NUL in the path
                 error = _parse_error(f"job {index}: cannot write output {output!r}: {exc}",
                                      output=output)
                 entry = {"job": index, "exit": 2, "report": _error_report(error)}

@@ -92,7 +92,9 @@ ZZ = RingSpec(0)
 # product-sampler letters, the degrees of a Magnus expansion, the cells of
 # a `rep` matrix (filt.phi), the entries of a table row (EMap.row), or the
 # words of a sample (filt._check_request).  Each is counted and checked
-# before any of it is made.
+# before any of it is made; the first three grow as alphabet^length, and
+# are refused uncounted when `surely_over` says so.  Both functions read the
+# limit when called, so lowering coeff.MAX_CELLS moves every check.
 MAX_CELLS = 10**7
 
 
@@ -106,6 +108,11 @@ def check_cells(what: str, formula: str, cells: int | None) -> None:
         return
     count = f"more than {MAX_CELLS}" if cells is None else cells
     raise ValueError(f"{what} needs {count} cells ({formula}), over the limit of {MAX_CELLS}")
+
+
+def surely_over(k: int, n: int) -> bool:
+    """Whether n, or k^n for k >= 2, is over MAX_CELLS as n, k or 2^n is: no need to count."""
+    return n > MAX_CELLS or k > 1 and (k > MAX_CELLS or n > MAX_CELLS.bit_length())
 
 
 def spec_int(text: str) -> int:

@@ -459,6 +459,16 @@ def spec_ints(body: str, count: int | None = None) -> list[int]:
     return values
 
 
+def read_json(path: str, what: str):
+    """The JSON in the file at path; a failure to read it raises "cannot read <what> ..."."""
+    import json  # only files read JSON; the CLI has it loaded already
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValueError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
 def parse_emap(text: str) -> EMap:
     """Parse an e-map spec string.
 
@@ -484,16 +494,9 @@ def parse_emap(text: str) -> EMap:
     except ValueError as exc:
         raise ValueError(f"bad e-map spec {text!r}: {exc}") from exc
     if kind == "file":
-        import json  # only a file: table reads JSON; the CLI has it loaded already
-
-        try:
-            with open(body, encoding="utf-8") as fh:
-                rows = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValueError(f"cannot read e-map table {body!r}: {exc}") from exc
         try:
             # pairs, not a dict: a repeated n or n = true beside n = 1 is refused
-            pairs = [(row["n"], row["values"]) for row in rows]
+            pairs = [(row["n"], row["values"]) for row in read_json(body, "e-map table")]
         except (TypeError, KeyError) as exc:
             raise ValueError(f"bad e-map table in {body!r}: expected rows with n and values") from exc
         return ExplicitEMap(pairs)

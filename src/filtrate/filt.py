@@ -34,7 +34,7 @@ import random
 from itertools import product
 from math import comb, gcd, lcm
 
-from .coeff import MAX_CELLS, Record, RingSpec, ZZ, check_cells, divisible
+from .coeff import Record, RingSpec, ZZ, check_cells, divisible, surely_over
 from .emap import EMap, check_descending, divisor_witness, ideal_divisors
 from .magnus import magnus
 from .massey import necklace
@@ -209,13 +209,10 @@ def kernel_witness(g: GroupWord, spec: FiltrationSpec):
     top = next((d for d in range(n - 1, 1, -1) if row[d - 1] != 1), 0)
     if not top:
         return None
-    # the rows hold k**m entries for each length m <= top, and each row is a
-    # cell besides its entries; past these sizes the longest row alone is
-    # over the limit, so the count is not computed
-    over = k > MAX_CELLS or k > 1 and top > MAX_CELLS.bit_length()
     check_cells(f"the kernel route at alphabet {k}, degree {top}",
                 f"alphabet^1 + ... + alphabet^{top} + {top}",
-                None if over else (top if k == 1 else (k ** (top + 1) - k) // (k - 1)) + top)
+                None if surely_over(k, top)
+                else (top if k == 1 else (k ** (top + 1) - k) // (k - 1)) + top)
     rows = _top_rows(g, lcm(*row[1:top]), top)  # an e(n, d) of 1 drops out
     common = 0  # the gcd of every entry in the rows of lengths 1..d
     for d in range(1, top + 1):
@@ -248,6 +245,9 @@ def member_kernels(g: GroupWord, spec: FiltrationSpec) -> bool:
 FANOUT = 2
 # the most letters, before reduction, in a random word at level 1 of a recursive sampler
 LEAF_LENGTH = 6
+# the highest level a recursive sampler draws at: it recurses one call deeper
+# per level, well inside the interpreter's default limit of 1000 frames
+MAX_DEPTH = 500
 
 
 def _check_request(level: int, count: int) -> None:
@@ -290,9 +290,12 @@ def sample_recursive(
     an e.power_exponent(n)-th power from level e.power_level(n) or a
     commutator across one of e.splittings(n); recursion bottoms out at level
     1 with random words of at most LEAF_LENGTH letters.  Deterministic for a
-    fixed seed.
+    fixed seed.  A level over MAX_DEPTH raises ValueError before any draw.
     """
     _check_request(level, count)
+    if level > MAX_DEPTH:
+        raise ValueError(f"level {level} is over the recursive sampler's depth limit"
+                         f" of {MAX_DEPTH}")
     rng = random.Random(seed)
     return [_sample_element(e, level, alphabet_size, rng) for _ in range(count)]
 
@@ -321,12 +324,10 @@ def product_sampler(
     # on one letter only weight 1 can be drawn, so only e(n, 1) is read
     row = e.row(level) if k > 1 else (e.evaluate(level, 1),)
     weights = [i for i, v in enumerate(row, 1) if v != 0]
-    # there are about k**i / i Lyndon words of weight i, so past these sizes
-    # the heaviest weight alone is over the limit
-    over = weights and (k > MAX_CELLS or k > 1 and weights[-1] > MAX_CELLS.bit_length())
     check_cells(f"the product sampler at alphabet {k}, level {level}",
                 "weight * necklace(alphabet, weight), summed over the weights",
-                None if over else sum(i * necklace(k, i) for i in weights))
+                None if weights and surely_over(k, weights[-1])
+                else sum(i * necklace(k, i) for i in weights))
     if not weights:
         return [GroupWord(k)] * count
     rng = random.Random(seed)

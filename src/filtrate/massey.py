@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import prod
 
-from .coeff import MAX_CELLS, Record, check_cells, integer_rank
+from .coeff import Record, check_cells, integer_rank, surely_over
 from .emap import _prime_factors
 from .words import (
     BasicCommutator,
@@ -94,11 +94,8 @@ def pairing_matrix(alphabet_size: int, n: int) -> PairingMatrix:
     if alphabet_size < 1:
         raise ValueError(f"alphabet size must be >= 1, got {alphabet_size}")
     k = alphabet_size
-    # each of the k**n >= 2**n column labels has n letters, so these levels
-    # are over the limit without computing k**n
-    over = n > (MAX_CELLS if k == 1 else MAX_CELLS.bit_length())
-    check_cells(f"the pairing matrix at alphabet {k}, level {n}",
-                "(rows + level) * alphabet^level", None if over else (necklace(k, n) + n) * k**n)
+    check_cells(f"the pairing matrix at alphabet {k}, level {n}", "(rows + level) * alphabet^level",
+                None if surely_over(k, n) else (necklace(k, n) + n) * k**n)
     width = k**n
     rows = []
     labels = []

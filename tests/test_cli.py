@@ -711,18 +711,23 @@ def test_batch_unwritable_output_is_a_job_error(tmp_path, capsys):
     jobs = [
         {"command": "massey", "parameters": {"alphabet": 2, "level": 3}, "output": missing},
         {"command": "massey", "parameters": {"alphabet": 2, "level": 3}, "output": True},
+        # open() refuses a NUL with ValueError, not OSError
+        {"command": "massey", "parameters": {"alphabet": 2, "level": 3}, "output": "a\0b"},
         {"command": "massey", "parameters": {"alphabet": 2, "level": 2}},
     ]
     path = tmp_path / "jobs.json"
     path.write_text(json.dumps(jobs))
     code, report, _ = run(capsys, ["batch", "--jobs", str(path)])
     assert code == 2
-    assert [j["exit"] for j in report["jobs"]] == [2, 2, 0]
+    assert [j["exit"] for j in report["jobs"]] == [2, 2, 2, 0]
     error = report["jobs"][0]["report"]["error"]
     assert error["kind"] == "parse"
     assert error["output"] == missing and missing in error["message"]
     assert report["jobs"][1]["report"]["error"]["output"] is True
-    assert report["jobs"][2]["report"]["rank"] == 1
+    assert report["jobs"][2]["report"]["error"] == {
+        "kind": "parse", "message": "job 2: cannot write output 'a\\x00b': embedded null byte",
+        "output": "a\0b"}
+    assert report["jobs"][3]["report"]["rank"] == 1
 
 
 def test_oversized_power_exits_three_at_once(capsys):
@@ -867,6 +872,37 @@ def test_kernel_route_over_a_huge_alphabet():
     report = json.loads(proc.stdout)
     assert report["member"] is False
     assert report["witness"] == {"degree": 1, "word": "x1", "coefficient": "1"}
+
+
+def test_massey_over_a_huge_alphabet(capsys):
+    # (rows + level) * alphabet^level would have about 16000 digits, more
+    # than int() prints; the alphabet alone is over the limit, so it is not counted
+    alphabet = "9" * 4000
+    code, report, _ = run(capsys, ["massey", "--alphabet", alphabet, "--level", "2"])
+    assert code == 3
+    assert report["error"] == {
+        "kind": "precondition",
+        "message": f"the pairing matrix at alphabet {alphabet}, level 2 needs more than {MAX_CELLS}"
+                   f" cells ((rows + level) * alphabet^level), over the limit of {MAX_CELLS}",
+    }
+
+
+def test_recursive_sampler_depth_limit():
+    # afilt: draws at level n from level n - 1 first, one call deeper per
+    # level: at the limit the draw reaches level 1 and the words outgrow
+    # MAX_RUNS on the way back up; one level over it nothing is drawn
+    scheme = "afilt:" + ",".join(["2"] * filt.MAX_DEPTH)
+    messages = []
+    for level in (filt.MAX_DEPTH, filt.MAX_DEPTH + 1):
+        proc, elapsed = run_child(["sample", "--scheme", scheme, "--level", str(level),
+                                   "--alphabet", "2", "--count", "1"])
+        assert proc.returncode == 3 and proc.stderr == ""
+        assert proc.stdout.count("\n") == 1
+        messages.append(json.loads(proc.stdout)["error"]["message"])
+        assert elapsed < 5
+    assert messages[0].endswith(f"runs, over the limit of {MAX_RUNS}")
+    assert messages[1] == (f"level {filt.MAX_DEPTH + 1} is over the recursive sampler's depth"
+                           f" limit of {filt.MAX_DEPTH}")
 
 
 def test_sequence_gcd_table_at_a_long_level():
@@ -1058,6 +1094,35 @@ def test_batch_rejects_bad_jobs_files(tmp_path, capsys):
     path.write_text('{"command": "massey"}')
     code, report, _ = run(capsys, ["batch", "--jobs", str(path)])
     assert code == 2 and report["error"]["kind"] == "parse"
+
+
+# files that json cannot read: nested deeper than the interpreter recurses,
+# not UTF-8, and an integer of more digits than int() reads
+UNREADABLE = {"nested": b"[" * 5000 + b"]" * 5000, "latin-1": b'[{"n": 1, "values": ["\xe9"]}]',
+              "digits": b'[{"n": 1, "values": [' + b"9" * 4301 + b"]}]"}
+
+
+@pytest.mark.parametrize("content", UNREADABLE)
+@pytest.mark.parametrize("argv, prefix", [
+    (["batch", "--jobs", "{path}"], "cannot read jobs file {path!r}: "),
+    (["emap-check", "--emap", "file:{path}", "--nmax", "2"],
+     "filtrate emap-check: argument --emap: cannot read e-map table {path!r}: "),
+    (["member", "--word", "x1", "--emap", "file:{path}", "--level", "2", "--alphabet", "2"],
+     "filtrate member: argument --emap: cannot read e-map table {path!r}: "),
+    (["sample", "--scheme", "product:file:{path}", "--level", "2", "--alphabet", "2"],
+     "bad scheme spec 'product:file:{path}': cannot read e-map table {path!r}: "),
+], ids=["batch", "emap-check", "member", "sample"])
+def test_unreadable_json_files_exit_two(tmp_path, capsys, content, argv, prefix):
+    path = str(tmp_path / "file.json")
+    with open(path, "wb") as fh:
+        fh.write(UNREADABLE[content])
+    code = cli.main([token.format(path=path) for token in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert captured.out.count("\n") == 1
+    error = json.loads(captured.out)["error"]
+    assert error["kind"] == "parse"
+    assert error["message"].startswith(prefix.format(path=path))
 
 
 def test_help_documents_the_grammars(capsys):
@@ -1279,3 +1344,124 @@ def test_fuzzed_command_lines_give_one_json_line_either_way(argv):
         assert out.getvalue().count("\n") == 1 and isinstance(json.loads(out.getvalue()), dict)
         outcomes.append((code, out.getvalue()))
     assert outcomes[0] == outcomes[1]
+
+
+# placeholders that a fuzzed file holds where json.dumps cannot write the
+# hostile value: the encoded file has the drawn bytes in their place
+_HOSTILE = {
+    "@nested@": st.integers(2000, 5000).map(lambda depth: b"[" * depth + b"]" * depth),
+    "@digits@": st.integers(4301, 5000).map(lambda digits: b"9" * digits),
+    "@bytes@": st.sampled_from([b'"\xff"', b'"x\xc3("', b'"\xed\xa0\x80"', b'"\xe9t\xe9"']),
+}
+# values where a job or a table expects something else
+_ODD_VALUES = st.sampled_from([None, True, False, 0, -2, 2.0, 2.5, float("inf"), float("nan"),
+                               10**30, "", "two", [], {}, [[2]], {"n": 1}])
+
+
+def _mostly(draw, usual):
+    """A value of `usual`, or one time in eight an odd value."""
+    return draw(_ODD_VALUES if draw(st.integers(0, 7)) == 0 else usual)
+
+
+def _with_hostile(draw, value):
+    """value, or about half the time value with one of _HOSTILE's
+    placeholders in place of the whole or of a part at any depth."""
+    placeholder = draw(st.sampled_from([None] * 3 + [*_HOSTILE]))
+    if placeholder is None:
+        return value
+
+    def replaced(part):
+        if isinstance(part, (list, dict)) and part and draw(st.booleans()):
+            part = part.copy()
+            key = draw(st.sampled_from(list(range(len(part)) if isinstance(part, list) else part)))
+            part[key] = replaced(part[key])
+            return part
+        return placeholder
+    return replaced(value)
+
+
+@st.composite
+def _tables(draw):
+    """A file: table: the rows {"n": n, "values": [e(n, 1..n)]} of const:a,
+    which descend, with odd values, unknown keys, or a table that is not an
+    array of rows."""
+    a = draw(st.integers(0, 3))
+    rows = []
+    for n in range(1, draw(st.integers(0, 3)) + 1):
+        row = {"n": _mostly(draw, st.just(n)),
+               "values": [_mostly(draw, st.just(a ** (n - i))) for i in range(1, n + 1)]}
+        if draw(st.integers(0, 7)) == 0:
+            row["bogus"] = 1
+        rows.append(_mostly(draw, st.just(row)))
+    return _with_hostile(draw, _mostly(draw, st.just(rows)))
+
+
+# a job's flag values: the argv fuzz's, a table of the example as a file:
+# spec, and small numbers, so that every job that runs is quick
+_JOB_VALUES = {**_FLAG_VALUES,
+               "emap": st.one_of(_FLAG_VALUES["emap"], st.just("file:@table@")),
+               "scheme": st.one_of(_FLAG_VALUES["scheme"], st.just("product:file:@table@")),
+               "emit-matrix": st.booleans()}
+_JOB_NUMBERS = st.one_of(st.integers(1, 3), st.integers(1, 3).map(str))
+_OUTPUTS = st.sampled_from(["@dir@/out.json", "@dir@", "@dir@/missing/out.json", "a\0b", "",
+                            True, 7, None, ["out.json"]])
+
+
+@st.composite
+def _jobs_files(draw):
+    """A jobs file from the flags of COMMANDS, with flags left out, unknown
+    parameters, odd and hostile values and outputs that cannot be written."""
+    jobs = []
+    for _ in range(draw(st.integers(0, 3))):
+        command = draw(st.sampled_from([*cli.COMMANDS, "frobnicate"]))
+        flags = cli.COMMANDS[command][2] if command in cli.COMMANDS else {}
+        parameters = {flag: _mostly(draw, _JOB_VALUES.get(flag, _JOB_NUMBERS))
+                      for flag in flags if draw(st.integers(0, 9))}
+        if draw(st.integers(0, 7)) == 0:
+            parameters["bogus"] = 1
+        job = {"command": command, "parameters": _mostly(draw, st.just(parameters))}
+        if draw(st.integers(0, 3)) == 0:
+            job["seed"] = _mostly(draw, _JOB_NUMBERS)
+        if draw(st.integers(0, 3)) == 0:
+            job["output"] = draw(_OUTPUTS)
+        jobs.append(_mostly(draw, st.just(job)))
+    return _with_hostile(draw, _mostly(draw, st.just(jobs)))
+
+
+def _encoded(value, hostile, paths) -> bytes:
+    """value as a JSON file, with the placeholders of paths and hostile in it replaced."""
+    raw = json.dumps(value).encode()
+    for name, path in paths.items():
+        raw = raw.replace(name.encode(), json.dumps(path)[1:-1].encode())
+    for name, data in hostile.items():
+        raw = raw.replace(json.dumps(name).encode(), data)
+    return raw
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(derandomize=True)
+@given(jobs=_jobs_files(), table=_tables(), hostile=st.fixed_dictionaries(_HOSTILE),
+       table_argv=st.sampled_from([
+           ["member", "--word", "x1*x2", "--emap", "file:@table@", "--level", "2",
+            "--alphabet", "2"],
+           ["emap-check", "--emap", "file:@table@", "--nmax", "3"],
+           ["sample", "--scheme", "product:file:@table@", "--level", "3", "--alphabet", "2",
+            "--count", "2"]]))
+def test_fuzzed_jobs_files_and_tables_give_one_json_line(fuzz_dir, jobs, table, hostile,
+                                                        table_argv):
+    paths = {"@table@": str(fuzz_dir / "table.json"), "@dir@": str(fuzz_dir)}
+    (fuzz_dir / "table.json").write_bytes(_encoded(table, hostile, paths))
+    (fuzz_dir / "jobs.json").write_bytes(_encoded(jobs, hostile, paths))
+    for argv in (["batch", "--jobs", str(fuzz_dir / "jobs.json")],
+                 [token.replace("@table@", paths["@table@"]) for token in table_argv]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2, 3) and err.getvalue() == ""
+        assert out.getvalue().count("\n") == 1
+        report = json.loads(out.getvalue())
+        assert {entry["exit"] for entry in report.get("jobs", [])} <= {0, 2, 3}

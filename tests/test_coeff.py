@@ -2,7 +2,12 @@ import random
 
 import pytest
 
+from filtrate import coeff, filt
 from filtrate.coeff import RingSpec, ZZ, divisible, integer_rank, parse_ring
+from filtrate.emap import ConstantEMap
+from filtrate.filt import FiltrationSpec, kernel_witness, product_sampler
+from filtrate.massey import pairing_matrix
+from filtrate.words import lyndon_words, parse_word
 
 from helpers import is_unit, rational_rank
 
@@ -85,3 +90,75 @@ def test_parse_ring():
 def test_ring_spec_strings():
     assert str(ZZ) == "Z"
     assert str(RingSpec(12)) == "Z/12"
+
+
+def _kernel_cells(monkeypatch, k, n):
+    """The cells the kernel route builds to decide degrees up to n over k
+    letters: every entry of `_top_rows` past the empty word's, and one per row."""
+    built = []
+    top_rows = filt._top_rows
+    monkeypatch.setattr(filt, "_top_rows",
+                        lambda g, m, cap: built.append(top_rows(g, m, cap)) or built[-1])
+    # every e(n + 1, d) with d <= n is a power of 2, so every degree up to n is decided
+    assert kernel_witness(parse_word("e", k), FiltrationSpec(ConstantEMap(2), n + 1)) is None
+    (rows,) = built
+    return sum(map(len, rows[1:])) + len(rows) - 1
+
+
+def _sampler_cells(monkeypatch, k, n):
+    """The letters of the Lyndon pools the product sampler lists at level n
+    over k letters, where every weight 1..n is drawn from."""
+    letters = []
+    monkeypatch.setattr(filt, "lyndon_words",
+                        lambda k, i: letters.extend(words := list(lyndon_words(k, i))) or words)
+    assert len(product_sampler(ConstantEMap(2), n, k, 1)) == 1
+    return sum(map(len, letters))
+
+
+def _pairing_cells(monkeypatch, k, n):
+    """The cells of the pairing matrix at level n over k letters: an entry
+    per row and column, and the n letters of each column label."""
+    matrix = pairing_matrix(k, n)
+    assert {len(row) for row in matrix.entries} == {len(matrix.column_labels)}
+    assert {len(w) for w in matrix.column_labels} == {n}
+    return (len(matrix.entries) + n) * len(matrix.column_labels)
+
+
+# build -> (cells it builds at alphabet k, length n; what it is; its formula)
+BUILDS = {
+    "kernel": (_kernel_cells, "the kernel route at alphabet {k}, degree {n}",
+               "alphabet^1 + ... + alphabet^{n} + {n}"),
+    "sampler": (_sampler_cells, "the product sampler at alphabet {k}, level {n}",
+                "weight * necklace(alphabet, weight), summed over the weights"),
+    "pairing": (_pairing_cells, "the pairing matrix at alphabet {k}, level {n}",
+                "(rows + level) * alphabet^level"),
+}
+
+
+@pytest.mark.parametrize("build", BUILDS)
+@pytest.mark.parametrize("k, n", [(2, 3), (2, 6), (3, 3), (5, 2)])
+def test_each_exponential_build_counts_the_cells_it_builds(monkeypatch, build, k, n):
+    cells_of, what, formula = BUILDS[build]
+    cells = cells_of(monkeypatch, k, n)
+    # the limit is read when the build is checked, by the count and the
+    # shortcut alike: a build of exactly the limit is made, one cell over is not
+    monkeypatch.setattr(coeff, "MAX_CELLS", cells)
+    assert cells_of(monkeypatch, k, n) == cells
+    monkeypatch.setattr(coeff, "MAX_CELLS", cells - 1)
+    with pytest.raises(ValueError) as refused:
+        cells_of(monkeypatch, k, n)
+    assert str(refused.value) == (f"{what} needs {cells} cells ({formula}), over the limit of"
+                                  f" {cells - 1}").format(k=k, n=n)
+
+
+@pytest.mark.parametrize("build", BUILDS)
+@pytest.mark.parametrize("k, n", [(51, 2), (2, 7), (10**4000, 2)])
+def test_a_build_surely_over_the_limit_is_refused_uncounted(monkeypatch, build, k, n):
+    # k, or 2^n, over a limit of 50: the count, which at k = 10^4000 has
+    # more digits than int() prints, is never computed
+    cells_of, what, formula = BUILDS[build]
+    monkeypatch.setattr(coeff, "MAX_CELLS", 50)
+    with pytest.raises(ValueError) as refused:
+        cells_of(monkeypatch, k, n)
+    assert str(refused.value) == (f"{what} needs more than 50 cells ({formula}), over the limit"
+                                  " of 50").format(k=k, n=n)
