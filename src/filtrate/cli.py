@@ -262,7 +262,7 @@ def _cmd_batch(args) -> tuple[int, dict]:
         worst = max(worst, code)
         output = job.get("output") if isinstance(job, dict) else None
         entry = {"job": index, "exit": code, "report": report}
-        if output:
+        if output is not None:  # absent or null: inline
             try:
                 # open() takes an integer or bool as a file descriptor
                 if not isinstance(output, str):

@@ -16,8 +16,9 @@ Membership is decided by two deliberately different routes:
   of all words up to the last such d by the image of each run x_i^e, which
   has binom(e, b-a) at (a, b) where the word is all i there.  Every word of
   length <= d is a subword of one of length d, so degree d passes exactly
-  when the rows of lengths 1..d vanish mod e(n, d); only a degree that
-  fails is scanned word by word, to name its witness.
+  when the rows of lengths 1..d vanish mod e(n, d); a degree that fails
+  reads its witness from the same rows: the first failing word in
+  lexicographic order is the least code of a failing entry in them.
 
 Neither route reads a degree whose divisor is 1: nothing there can fail.
 The kernel route decides this from e(n, d) itself, not from the series
@@ -31,7 +32,6 @@ The two must agree on every input; a disagreement is a bug, never noise.
 from __future__ import annotations
 
 import random
-from itertools import product
 from math import comb, gcd, lcm
 
 from .coeff import Record, RingSpec, ZZ, check_cells, divisible, surely_over
@@ -189,10 +189,15 @@ def kernel_witness(g: GroupWord, spec: FiltrationSpec):
     entries (0 divides only 0).  The gcd is carried from one degree to the
     next, so each row is read once, and only up to the degree being
     decided; it needs nothing of the other degrees' moduli, which need not
-    divide one another.  Only a degree that fails is scanned: its words
-    in lexicographic order, each entry read in place and reduced mod
-    e(n, d), up to the first nonzero entry, the least (a, b) of the first
-    non-identity image.  The route never expands g as a series.
+    divide one another.  A degree d that fails names the first failing word
+    in lexicographic order: with x1 as digit 0, it is the least code c of
+    an entry of rows 1..d that is nonzero mod e(n, d), written with d
+    letters, since a word holding a failing u with r letters after it has
+    code at least code(u)·k^r, and x1^(d-|u|) u has code exactly code(u).
+    The moduli need not divide one another, so every row up to d is read,
+    not row d alone: at most once more, plus the d(d+1)/2 entries of that
+    one word's matrix, the first nonzero of them in (a, b) order being the
+    witness.  The route never expands g as a series.
     """
     n = spec.level
     k = g.alphabet_size
@@ -220,19 +225,19 @@ def kernel_witness(g: GroupWord, spec: FiltrationSpec):
         m = row[d - 1]
         if d == 1 or divisible(common, m):  # degree 1 read the exponent sums
             continue
-        for w in product(range(k), repeat=d):
-            # entry (a, b) is the top-right entry of the image attached to
-            # w[a..b-1], the last of the top row of the suffix w[a..]; the
-            # first nonzero one in (a, b) order is the witness
-            for a in range(d):
-                code = 0
-                for b in range(a, d):
-                    code = code * k + w[b]
-                    v = rows[b - a + 1][code]
-                    if m:
-                        v %= m
-                    if v:
-                        return (d, tuple(x + 1 for x in w), v)
+        # the first failing word in lex order: the least failing code in rows 1..d
+        c = min(next((i for i, v in enumerate(rows[j]) if (v % m if m else v)), k ** d)
+                for j in range(1, d + 1))
+        w = [c // k ** (d - 1 - i) % k for i in range(d)]
+        for a in range(d):  # its first nonzero entry (a, b) is that of w[a..b]
+            code = 0
+            for b in range(a, d):
+                code = code * k + w[b]
+                v = rows[b - a + 1][code]
+                if m:
+                    v %= m
+                if v:
+                    return (d, tuple(x + 1 for x in w), v)
     return None
 
 

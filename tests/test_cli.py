@@ -362,8 +362,9 @@ def test_emap_check_non_descending_table(tmp_path, capsys):
     ('{"n": "3", "values": [6, 2, 1]}', "row index must be an integer, got '3'"),
     ('{"n": false, "values": []}', "row index must be an integer, got False"),
     ('{"n": 3, "values": "121"}', "row 3 must be a list of values, got '121'"),
+    ('{"n": 0, "values": []}', "row index must be >= 1, got 0"),
 ], ids=["overflow", "float", "integral-float", "bool", "string", "string-index", "bool-index",
-         "string-values"])
+         "string-values", "zero-index"])
 def test_file_tables_take_json_integers_only(tmp_path, capsys, row, message):
     path = tmp_path / "table.json"
     path.write_text(f'[{{"n": 1, "values": [1]}}, {row}]')
@@ -714,12 +715,17 @@ def test_batch_unwritable_output_is_a_job_error(tmp_path, capsys):
         # open() refuses a NUL with ValueError, not OSError
         {"command": "massey", "parameters": {"alphabet": 2, "level": 3}, "output": "a\0b"},
         {"command": "massey", "parameters": {"alphabet": 2, "level": 2}},
+        {"command": "massey", "parameters": {"alphabet": 2, "level": 2}, "output": None},
     ]
+    # a falsy output is no less a value that is not a writable path
+    odd = ["", 0, False, [], {}]
+    jobs += [{"command": "massey", "parameters": {"alphabet": 2, "level": 2}, "output": output}
+             for output in odd]
     path = tmp_path / "jobs.json"
     path.write_text(json.dumps(jobs))
     code, report, _ = run(capsys, ["batch", "--jobs", str(path)])
     assert code == 2
-    assert [j["exit"] for j in report["jobs"]] == [2, 2, 2, 0]
+    assert [j["exit"] for j in report["jobs"]] == [2, 2, 2, 0, 0] + [2] * len(odd)
     error = report["jobs"][0]["report"]["error"]
     assert error["kind"] == "parse"
     assert error["output"] == missing and missing in error["message"]
@@ -727,7 +733,13 @@ def test_batch_unwritable_output_is_a_job_error(tmp_path, capsys):
     assert report["jobs"][2]["report"]["error"] == {
         "kind": "parse", "message": "job 2: cannot write output 'a\\x00b': embedded null byte",
         "output": "a\0b"}
-    assert report["jobs"][3]["report"]["rank"] == 1
+    assert report["jobs"][3]["report"]["rank"] == report["jobs"][4]["report"]["rank"] == 1
+    assert report["jobs"][5]["report"]["error"]["message"] == (
+        "job 5: cannot write output '': [Errno 2] No such file or directory: ''")
+    for index, output in enumerate(odd[1:], 6):
+        assert report["jobs"][index]["report"]["error"] == {
+            "kind": "parse", "output": output,
+            "message": f"job {index}: cannot write output {output!r}: output must be a path string"}
 
 
 def test_oversized_power_exits_three_at_once(capsys):
@@ -830,6 +842,25 @@ def test_kernel_route_member_at_a_long_level():
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads(proc.stdout)["member"] is True
     assert elapsed < 5
+
+
+@pytest.mark.parametrize("route, coefficient", [(None, "-1"), ("kernels", "1")])
+def test_kernel_route_reads_a_deep_witness_from_its_rows(route, coefficient):
+    # degree 9 fails: the witness is the least failing code in rows 1..9,
+    # not the first of 5^9 words scanned in order
+    argv = ["member", "--word", "[x5^8,x4]", "--emap", "zass:2,1", "--level", "10",
+            "--alphabet", "5"]
+    proc, elapsed = run_child(argv + (["--route", route] if route else []))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == (
+        '{"version": "0.1.0", "seed": null, "command": "member",'
+        ' "word": "[x5^8,x4]", "alphabet": 5, "emap": "zass:2,1", "level": 10,'
+        f' "route": "{route or "both"}", "member": false,'
+        f' "route_agreement": {"null" if route else "true"},'
+        ' "witness": {"degree": 9, "word": "x4x5x5x5x5x5x5x5x5",'
+        f' "coefficient": "{coefficient}"}}}}\n'
+    )
+    assert elapsed < 3
 
 
 @pytest.mark.parametrize("argv", [

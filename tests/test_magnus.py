@@ -48,6 +48,9 @@ def test_construction_canonicalizes():
         TruncSeries(ZZ, 2, 2, {(3,): 1})
     with pytest.raises(ValueError):
         TruncSeries(ZZ, 2, 0, {})
+    with pytest.raises(ValueError, match="alphabet size must be >= 1, got 0"):
+        TruncSeries(ZZ, 0, 1)
+    assert repr(TruncSeries(ZZ, 1, 1)) == "<TruncSeries 0 over Z, cap 1>"
 
 
 def test_addition_and_scaling():
@@ -289,6 +292,10 @@ def test_coefficient_and_cap_discipline():
     assert coefficient(s, ()) == 1
     with pytest.raises(CapExceededError):
         coefficient(s, (1, 2, 1))
+    with pytest.raises(ValueError, match=r"monomial \(1, 3\) uses letter 3 outside x1..x2"):
+        coefficient(s, (1, 3))
+    with pytest.raises(ValueError, match="degree cap must be >= 1, got 0"):
+        magnus(parse_word("[x1,x2]", 2), ZZ, 0)
 
 
 def test_series_json_shape_and_order():

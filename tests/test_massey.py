@@ -111,6 +111,8 @@ def test_pairing_matrix_shapes_and_entries():
     assert all(any(v != 0 for v in row) for row in pm.entries)
     with pytest.raises(ValueError):
         pairing_matrix(2, 1)
+    with pytest.raises(ValueError, match="alphabet size must be >= 1, got 0"):
+        pairing_matrix(0, 2)
 
 
 def test_rank_equals_necklace_count():

@@ -468,6 +468,9 @@ def test_lyndon_words_examples():
     assert list(lyndon_words(2, 2)) == [(1, 2)]
     assert list(lyndon_words(2, 3)) == [(1, 1, 2), (1, 2, 2)]
     assert list(lyndon_words(3, 2)) == [(1, 2), (1, 3), (2, 3)]
+    for k, n in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="need alphabet_size >= 1 and weight >= 1"):
+            list(lyndon_words(k, n))
 
 
 def test_one_letter_has_one_lyndon_word():
