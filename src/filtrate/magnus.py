@@ -4,8 +4,10 @@ A series lives in R<<x1..xk>> with all terms of degree > cap discarded.
 The expansion sends xi to 1 + xi and xi^-1 to the geometric series
 (1 + xi)^-1 = 1 - xi + xi^2 - ..., truncated at the cap.  `magnus` takes a
 run xi^k in one step: it multiplies by (1 + xi)^k = sum_j binom(k, j) xi^j
-when k > 0, and divides by (1 + xi)^|k| when k < 0.  It takes a power u^q
-of a word that keeps its powers by repeated squaring of u's expansion.
+when k > 0, and divides by (1 + xi)^|k| when k < 0; at cap 1 both come to
+adding k times the constant term at xi, one update per run.  It takes a
+power u^q of a word that keeps its powers by repeated squaring of u's
+expansion.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ def coefficient(series: TruncSeries, w: Monomial) -> int:
 
 def _one(m: int, cap: int) -> list[dict]:
     """The parts of the series 1 over Z/m (Z when 0); over Z/1 it is 0."""
-    return [_canonical({(): 1}, m)] + [{} for _ in range(cap)]
+    return [{} if m == 1 else {(): 1}] + [{} for _ in range(cap)]
 
 
 def _product(a: list[dict], b: list[dict], m: int, cap: int) -> list[dict]:
@@ -183,14 +185,28 @@ def _apply_run(parts: list[dict], i: int, k: int, m: int, cap: int):
 def _walk(parts: list[dict], program, m: int, cap: int) -> list[dict]:
     """parts times the expansion of a word's program (see GroupWord).
 
-    A run node (i, k) is applied in place.  A power node (body, q) expands
+    A run node (i, k) is applied in place.  At cap 1 that is one update:
+    (1 + xi)^k truncated at degree 1 is 1 + k xi for either sign of k, so
+    degree 1 gains k c0 at xi, with c0 the constant term (0 over Z/1); at
+    a higher cap `_apply_run` applies it.  A power node (body, q) expands
     body once and multiplies parts by it |q| times by repeated squaring,
     O(log |q|) products; a node with q < 0 takes the |q|-th power of the
     inverse body, so no series is ever inverted.
     """
     for body, q in program:
         if type(body) is int:
-            _apply_run(parts, body, q, m, cap)
+            if cap > 1:
+                _apply_run(parts, body, q, m, cap)
+            elif c0 := parts[0].get((), 0):
+                part = parts[1]
+                w = (body,)
+                v = part.get(w, 0) + q * c0
+                if m:
+                    v %= m
+                if v:
+                    part[w] = v
+                else:
+                    part.pop(w, None)
             continue
         if q < 0:
             body, q = _inverse(body), -q

@@ -621,6 +621,47 @@ def test_a_broken_magnus_makes_the_routes_disagree(monkeypatch, tmp_path, capsys
     assert report["jobs"][0]["report"]["error"] == error
 
 
+_right_binomials = filt._binomials
+
+
+def _binomials_with_a_wrong_negative_binomial(e, cap):
+    """filt._binomials with binom(-k, j) taken as (-1)^j binom(k+j, j), the
+    kernel route's twin of _magnus_with_a_wrong_negative_binomial."""
+    return _right_binomials(e - 1 if e < 0 else e, cap)
+
+
+def test_a_broken_kernel_route_makes_the_routes_disagree(monkeypatch, tmp_path, capsys):
+    # the series route never reads filt._binomials, so a bug there reaches
+    # only the kernel route; [[x1,x2],x1] passes degree 1, which the kernel
+    # route reads from the exponent sums, and fails at degree 2 once its rows
+    # are built with the wrong binomials
+    monkeypatch.setattr(filt, "_binomials", _binomials_with_a_wrong_negative_binomial)
+    argv = ["member", "--word", "[[x1,x2],x1]", "--emap", "trivial", "--level", "3",
+            "--alphabet", "2", "--route", "both"]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 4 and captured.err == ""
+    assert captured.out.count("\n") == 1
+    error = json.loads(captured.out)["error"]
+    assert error["kind"] == "integrity"
+    assert error["series_member"] is True and error["kernels_member"] is False
+    assert error["series_witness"] is None
+    assert error["kernels_witness"] == {"degree": 2, "word": "x1x1", "coefficient": "-2"}
+    jobs = tmp_path / "jobs.json"
+    jobs.write_text(json.dumps([
+        {"command": "member", "parameters": {
+            "word": "[[x1,x2],x1]", "emap": "trivial", "level": 3, "alphabet": 2}},
+        {"command": "member", "parameters": {
+            "word": "x1*x2", "emap": "trivial", "level": 3, "alphabet": 2}},
+    ]))
+    code = cli.main(["batch", "--jobs", str(jobs)])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out.count("\n") == 1
+    report = json.loads(captured.out)
+    assert [job["exit"] for job in report["jobs"]] == [4, 0]
+    assert report["jobs"][0]["report"]["error"] == error
+
+
 def test_batch_mixed_jobs(tmp_path, capsys):
     out_path = tmp_path / "magnus.json"
     jobs = [

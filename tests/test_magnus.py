@@ -405,6 +405,80 @@ def test_magnus_results_are_canonical_by_degree():
     assert walked >= 20, walked
 
 
+CAP_ONE_RINGS = tuple(RingSpec(m) for m in (0, 1, 2, 4, 6, 9))
+
+
+def test_cap_one_matches_letter_by_letter():
+    # at cap 1 a run adds its exponent times the constant term at xi in one
+    # update; the oracle multiplies out one letter at a time
+    rng = random.Random(74)
+    for _ in range(600):
+        ring = rng.choice(CAP_ONE_RINGS)
+        k = rng.randint(1, 3)
+        if rng.random() < 0.5:
+            g = random_reduced_word(rng, k, 12)
+            letters = g.letters
+        else:
+            text, letters, _ = random_power_expression(rng, k, 3, range(-5, 6))
+            if len(letters) > 300:
+                continue
+            g = parse_word(text, k)
+        want = TruncSeries(ring, k, 1, magnus_by_letters(letters, ring.modulus, 1)).parts
+        assert magnus(g, ring, 1).parts == want, (g, ring)
+
+
+def test_cap_one_reads_the_exponent_sums_of_huge_runs():
+    # degree 1 of the expansion holds each letter's exponent sum, reduced
+    # into the ring, however long the runs
+    rng = random.Random(75)
+    for _ in range(300):
+        ring = rng.choice(CAP_ONE_RINGS)
+        m = ring.modulus
+        k = rng.randint(1, 3)
+        g = GroupWord(k)
+        for _ in range(rng.randint(0, 6)):
+            e = rng.choice((1, -1)) * rng.choice((1, 2, 7, 10**6, 10**12))
+            g = g * GroupWord(k, (rng.randint(1, k),)) ** e
+        sums = {}
+        for i, e in g.runs:
+            sums[i] = sums.get(i, 0) + e
+        degree_one = {(i,): r for i, s in sums.items() if (r := s % m if m else s)}
+        assert magnus(g, ring, 1).parts == [{} if m == 1 else {(): 1}, degree_one], (g, ring)
+
+
+def test_cap_one_exact_cases():
+    def parts(text, k, modulus):
+        return magnus(parse_word(text, k), RingSpec(modulus), 1).parts
+
+    # x1^4 is 1 + 4 x1, and 4 is 0 in Z/4: no key is stored for it
+    assert parts("x1^4", 1, 4) == [{(): 1}, {}]
+    # the coefficient at x1 reaches 2 and returns to 0 over Z
+    assert parts("x1^2*x2*x1^-2", 2, 0) == [{(): 1}, {(2,): 1}]
+    assert parts("x1^-3*x2^1000000000000", 2, 0) == [{(): 1}, {(1,): -3, (2,): 10**12}]
+    assert parts("x1^-3*x2^1000000000000", 2, 7) == [{(): 1}, {(1,): 4, (2,): 10**12 % 7}]
+    # a power node goes through the series product
+    assert parts("(x1*x2^-1)^100000", 2, 0) == [{(): 1}, {(1,): 10**5, (2,): -10**5}]
+    # over Z/1 the constant term is 0, so nothing is ever added
+    assert parts("x1^-3*x2^1000000000000", 2, 1) == [{}, {}]
+
+
+def test_cap_one_applies_no_run_through_the_general_rule(monkeypatch):
+    # a cap-1 run is one dict update in _walk; _apply_run serves caps >= 2
+    calls = []
+    apply_run = magnus_module._apply_run
+
+    def spy(*args):
+        calls.append(args[1:])
+        apply_run(*args)
+
+    monkeypatch.setattr(magnus_module, "_apply_run", spy)
+    g = parse_word("x1^-3*x2^2*(x1*x2^-1)^1000", 2)
+    magnus(g, ZZ, 1)
+    assert calls == []
+    magnus(g, ZZ, 2)
+    assert calls
+
+
 def test_magnus_of_a_power_past_the_run_limit_of_a_flat_walk():
     # (x1 x2)^N expands to (1 + X)^N with X = x1 + x2 + x1x2, so the
     # coefficient at w sums binom(N, j) over the ways to cut w into j blocks
